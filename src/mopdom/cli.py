@@ -9,6 +9,7 @@ usage or a domain error (malformed graph, size limits, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import sys
@@ -200,29 +201,29 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             seed_i = int(rng.integers(0, 1 << 63))
             instances.append((f"random/{i}/n{ni}", to_json(random_mop(ni, seed_i))))
 
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            chunk = max(1, len(instances) // (args.jobs * 8))
-            results = list(pool.imap(_stress_one, instances, chunksize=chunk))
-    else:
-        results = [_stress_one(p) for p in instances]
-
     per_n: dict[int, dict[str, int]] = {}
     violations: list[dict[str, Any]] = []
-    for r in results:
-        agg = per_n.setdefault(
-            r["n"], {"total": 0, "ok": 0, "telescope": 0, "size_exact": 0, "printed_k": 0}
-        )
-        agg["total"] += 1
-        if r["ok"]:
-            agg["ok"] += 1
-            soft = r["soft"]
-            for key in ("telescope", "size_exact", "printed_k"):
-                agg[key] += soft[key]
-            if args.strict and (soft["telescope"] or soft["size_exact"]):
-                violations.append(r)
+    with multiprocessing.Pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        if pool is None:
+            results = map(_stress_one, instances)
         else:
-            violations.append(r)
+            chunk = max(1, len(instances) // (args.jobs * 8))
+            results = pool.imap(_stress_one, instances, chunksize=chunk)
+        # Aggregate each record as it arrives; only violations are kept.
+        for r in results:
+            agg = per_n.setdefault(
+                r["n"], {"total": 0, "ok": 0, "telescope": 0, "size_exact": 0, "printed_k": 0}
+            )
+            agg["total"] += 1
+            if r["ok"]:
+                agg["ok"] += 1
+                soft = r["soft"]
+                for key in ("telescope", "size_exact", "printed_k"):
+                    agg[key] += soft[key]
+                if args.strict and (soft["telescope"] or soft["size_exact"]):
+                    violations.append(r)
+            else:
+                violations.append(r)
 
     for n in sorted(per_n):
         agg = per_n[n]
@@ -231,7 +232,8 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             f"  soft: telescope={agg['telescope']}"
             f" size_exact={agg['size_exact']} printed_k={agg['printed_k']}"
         )
-    print(f"total: {len(results) - len(violations)}/{len(results)} ok, {len(violations)} violations")
+    total = len(instances)
+    print(f"total: {total - len(violations)}/{total} ok, {len(violations)} violations")
 
     if violations and args.out_dir:
         out = Path(args.out_dir)

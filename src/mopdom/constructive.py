@@ -35,7 +35,6 @@ from .domination import (
 from .dual_tree import (
     BranchShape,
     Deviation,
-    DualTree,
     build_dual_tree,
     match_branch_shape,
 )
@@ -115,7 +114,7 @@ def load_rules() -> tuple[
 # --- trace and certification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     rule_id: str
     n_before: int
@@ -375,9 +374,10 @@ def _pair_candidate(
 
 
 def _candidates(
-    g: MopGraph, t: DualTree
+    walks: Iterable[BranchShape | Deviation],
 ) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
-    """Reduction candidates in deterministic order.
+    """Reduction candidates in deterministic order, from the classified leaf
+    walks of one level.
 
     Any deviation takes precedence (leaf index order); only when every leaf
     walk is clean are two-branch sites offered, smallest anchor first, pairs
@@ -385,8 +385,7 @@ def _candidates(
     deviations, _ = load_rules()
     shapes: list[BranchShape] = []
     devs: list[Deviation] = []
-    for leaf in t.leaves():
-        res = match_branch_shape(g, t, leaf)
+    for res in walks:
         if isinstance(res, Deviation):
             devs.append(res)
         else:
@@ -439,10 +438,14 @@ def _solve(g: MopGraph, permissive: bool) -> tuple[VertexSet, list[TraceStep]]:
         s = base_case_solve(g)
         return s, [_terminal_step("base_case", n, k, len(s))]
 
+    # Only the classified walks outlive this point: the dual tree is dropped
+    # before the recursion, so no level keeps its own alive.
     t = build_dual_tree(g)
+    walks = [match_branch_shape(g, t, leaf) for leaf in t.leaves()]
+    del t
     failures: list[str] = []
     applied_any = False
-    for rule, labels in _candidates(g, t):
+    for rule, labels in _candidates(walks):
         if rule.kind == "direct":
             s = frozenset(labels[r] for r in rule.direct)
             check = certify(g, s)

@@ -56,7 +56,7 @@ class DualTree:
         return len(self.adjacency[node])
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.triangles)) if self.degree(i) == 1)
+        return tuple(i for i, nbr in enumerate(self.adjacency) if len(nbr) == 1)
 
 
 class PathTree:
@@ -68,53 +68,41 @@ class PathTree:
 
 
 def build_dual_tree(g: MopGraph) -> DualTree:
-    """Construct the dual tree by recursive apex splitting on the base edge
-    (0, n-1)."""
+    """Construct the dual tree from the fan of each vertex, in O(n).
+
+    Taken in ascending order, the neighbours ``w > a`` of a vertex ``a`` fan
+    across the polygon, and each consecutive pair ``(b, c)`` closes the
+    triangle ``(a, b, c)``.  Every triangle is found once, at its smallest
+    vertex, so the triangles come out sorted.  Neighbouring triangles of a
+    fan share the chord ``(a, b)``.  A side ``(b, c)`` that is a chord is
+    shared with the last triangle of ``b``'s fan, since ``c`` is ``b``'s
+    largest neighbour (a chord from ``b`` past ``c`` would cross ``(a, c)``).
+    Each vertex's chords are emitted in ascending order, so the edges come
+    out sorted by chord."""
     n = g.n
-    adj = g.adjacency
-    tris: list[tuple[int, int, int]] = []
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        apex = -1
-        for j in adj[lo]:
-            if lo < j < hi and j in adj[hi]:
-                apex = j
-                break
-        assert apex >= 0, "triangulated polygon region must have an apex"
-        tris.append((lo, apex, hi))
-        stack.append((lo, apex))
-        stack.append((apex, hi))
+    fans = [[v + 1] for v in range(n - 1)] + [[]]
+    for a, b in g.chords:
+        fans[a].append(b)
+    fans[0].append(n - 1)
 
-    tris.sort()
-    index = {t: i for i, t in enumerate(tris)}
-    assert len(tris) == n - 2
-
-    def kind_of(t: tuple[int, int, int]) -> str:
-        cyc = sum(
-            1
-            for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-            if g.is_cycle_edge(a, b)
-        )
-        if cyc >= 2:
-            return EAR
-        return SIDE if cyc == 1 else INTERNAL
-
+    triangles: list[Triangle] = []
     edges: list[tuple[int, int, tuple[int, int]]] = []
-    by_chord: dict[tuple[int, int], list[int]] = {}
-    for t, i in index.items():
-        for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if not g.is_cycle_edge(a, b):
-                by_chord.setdefault((a, b), []).append(i)
-    for chord, nodes in sorted(by_chord.items()):
-        assert len(nodes) == 2, "every chord separates exactly two triangles"
-        i, j = sorted(nodes)
-        edges.append((i, j, chord))
-
-    triangles = tuple(Triangle(vertices=t, kind=kind_of(t)) for t in tris)
-    return DualTree(triangles=triangles, edges=tuple(edges))
+    outer = [-1] * n  # the triangle beyond the last chord of each fan
+    for a, fan in enumerate(fans):
+        for j in range(1, len(fan)):
+            b, c = fan[j - 1], fan[j]
+            i = len(triangles)
+            if j > 1:
+                edges.append((i - 1, i, (a, b)))
+            if c - b > 1:
+                outer[b] = i
+            cyc = (j == 1) + (c - b == 1) + (a == 0 and c == n - 1)
+            kind = EAR if cyc >= 2 else SIDE if cyc == 1 else INTERNAL
+            triangles.append(Triangle(vertices=(a, b, c), kind=kind))
+        if outer[a] >= 0:
+            edges.append((outer[a], len(triangles) - 1, (a, fan[-1])))
+    assert len(triangles) == n - 2 and len(edges) == n - 3
+    return DualTree(triangles=tuple(triangles), edges=tuple(edges))
 
 
 def dual_to_dot(t: DualTree, name: str = "dual") -> str:

@@ -49,14 +49,14 @@ class MopGraph:
 
     @cached_property
     def adjacency(self) -> tuple[VertexSet, ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for v in range(self.n):
-            nbrs[v].add((v + 1) % self.n)
-            nbrs[v].add((v - 1) % self.n)
+        n = self.n
+        nbrs = [{v - 1, v + 1} for v in range(n)]
+        nbrs[0] = {n - 1, 1}
+        nbrs[-1] = {n - 2, 0}
         for a, b in self.chords:
             nbrs[a].add(b)
             nbrs[b].add(a)
-        return tuple(frozenset(s) for s in nbrs)
+        return tuple(map(frozenset, nbrs))
 
     @cached_property
     def chord_set(self) -> frozenset[Chord]:
@@ -70,21 +70,12 @@ class MopGraph:
     def edges(self) -> list[Chord]:
         """All edges as (lo, hi) pairs: cycle edges then chords, sorted."""
         cyc = [(i, i + 1) for i in range(self.n - 1)] + [(0, self.n - 1)]
-        return sorted(set(cyc) | self.chord_set)
+        return sorted(set(cyc).union(self.chords))
 
     def degree2_vertices(self) -> tuple[int, ...]:
         """Vertices of degree 2, ascending.  These are exactly the vertices
         that appear in no chord."""
-        in_chord = set()
-        for a, b in self.chords:
-            in_chord.add(a)
-            in_chord.add(b)
-        if self.n == 3:
-            return (0, 1, 2)
-        return tuple(v for v in range(self.n) if v not in in_chord)
-
-    def is_cycle_edge(self, a: int, b: int) -> bool:
-        return (a - b) % self.n in (1, self.n - 1)
+        return tuple(v for v, nbrs in enumerate(self.adjacency) if len(nbrs) == 2)
 
 
 def _normalize_chord(n: int, pair: Sequence[int]) -> Chord:
@@ -105,11 +96,29 @@ def _normalize_chord(n: int, pair: Sequence[int]) -> Chord:
 
 
 def _crossing_pair(chords: Sequence[Chord]) -> tuple[Chord, Chord] | None:
+    """The first crossing pair in list order, by a pair scan (O(m^2));
+    :func:`_non_crossing` decides whether one exists in O(m log m)."""
     for i, (a, b) in enumerate(chords):
         for c, d in chords[i + 1 :]:
             if a < c < b < d or c < a < d < b:
                 return (a, b), (c, d)
     return None
+
+
+def _non_crossing(chords: Iterable[Chord]) -> bool:
+    """True if no two ``(lo, hi)`` chords interleave.
+
+    Chords taken by ascending ``lo`` (longest first on ties) must nest inside
+    every chord still open at ``lo``; the open ones form a stack of
+    non-increasing ``hi``, and only its top can be crossed."""
+    open_hi: list[int] = []
+    for lo, hi in sorted(chords, key=lambda c: (c[0], -c[1])):
+        while open_hi and open_hi[-1] <= lo:
+            open_hi.pop()
+        if open_hi and open_hi[-1] < hi:
+            return False
+        open_hi.append(hi)
+    return True
 
 
 def build_mop(n: int, chords: Iterable[Sequence[int]]) -> MopGraph:
@@ -128,10 +137,11 @@ def build_mop(n: int, chords: Iterable[Sequence[int]]) -> MopGraph:
             if c in seen:
                 raise DuplicateOrDegenerateChord(f"chord {c!r} appears twice")
             seen.add(c)
-    cross = _crossing_pair(sorted(norm))
-    if cross is not None:
-        raise CrossingChords(f"chords {cross[0]!r} and {cross[1]!r} cross")
-    return MopGraph(n=n, chords=tuple(sorted(norm)))
+    norm.sort()
+    if not _non_crossing(norm):
+        a, b = _crossing_pair(norm)
+        raise CrossingChords(f"chords {a!r} and {b!r} cross")
+    return MopGraph(n=n, chords=tuple(norm))
 
 
 def _unchecked(n: int, chords: Iterable[Chord]) -> MopGraph:
@@ -405,10 +415,25 @@ def to_json(g: MopGraph) -> str:
 
 
 def from_json(text: str) -> MopGraph:
-    obj = json.loads(text)
+    """Parse and validate one ``{"n": ..., "chords": [[a, b], ...]}`` object.
+
+    Every malformed input raises a MopError: bad JSON, a missing key, or a
+    value that is not an integer (``true`` and ``5.0`` included)."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise NotMaximalOuterplanar(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, Mapping) or "n" not in obj or "chords" not in obj:
         raise NotMaximalOuterplanar(f"graph object needs 'n' and 'chords': {text[:80]!r}")
-    return build_mop(int(obj["n"]), obj["chords"])
+    n, chords = obj["n"], obj["chords"]
+    if type(n) is not int:
+        raise NotMaximalOuterplanar(f"'n' must be an integer, got {n!r}")
+    if type(chords) is not list:
+        raise NotMaximalOuterplanar(f"'chords' must be a list of pairs, got {chords!r}")
+    for pair in chords:
+        if not (type(pair) is list and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise DuplicateOrDegenerateChord(f"malformed chord {pair!r}")
+    return build_mop(n, chords)
 
 
 def to_edge_list(g: MopGraph) -> str:

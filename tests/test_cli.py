@@ -90,6 +90,34 @@ def test_solve_empty_input(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": "abc", "chords": []}',
+        '{"n": 5, "chords": 5}',
+        '{"n": 5, "chords": [[0, 2], [0',
+        '{"n": 5.7, "chords": [[0, 2], [0, 3]]}',
+        '{"n": 5, "chords": [[true, 3], [1, 4]]}',
+        "[" * 100_000,
+    ],
+    ids=[
+        "n_not_a_number",
+        "chords_not_a_list",
+        "truncated_json",
+        "float_n",
+        "bool_vertex",
+        "deeply_nested_json",
+    ],
+)
+def test_solve_malformed_graph_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "g.ndjson"
+    path.write_text(text + "\n")
+    assert run(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --- exact ---------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import unittest
 from collections import Counter
 
+from dual_tree_reference import reference_dual_tree
+
 from mopdom import (
     EAR,
     INTERNAL,
@@ -64,6 +66,27 @@ class DualTreeStructure(unittest.TestCase):
         dot = dual_to_dot(t)
         self.assertEqual(dot.count(" -- "), 3)
         self.assertIn(EAR, dot)
+
+
+class MatchesReferenceBuilder(unittest.TestCase):
+    """The fan-based builder must reproduce the apex-split construction:
+    same triangles in the same order, same kinds, same edges in the same
+    order."""
+
+    def assert_same(self, g):
+        t = build_dual_tree(g)
+        triangles, edges = reference_dual_tree(g.n, g.chords)
+        self.assertEqual([(tr.vertices, tr.kind) for tr in t.triangles], triangles)
+        self.assertEqual(list(t.edges), edges)
+
+    def test_every_small_mop(self):
+        for n in range(3, 11):
+            for g in enumerate_all(n):
+                self.assert_same(g)
+
+    def test_random_mops_up_to_300(self):
+        for seed in range(50):
+            self.assert_same(random_mop(4 + (296 * seed) // 49, seed))
 
 
 class WalkToAnchor(unittest.TestCase):

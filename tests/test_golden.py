@@ -1,0 +1,51 @@
+"""Golden engine output: solutions and traces must stay byte-identical.
+
+The digests below were computed from the engine before its per-level
+optimisations.  A refactor of the engine must leave them unchanged; a change
+that means to alter solutions or traces must say so and update them.
+
+    PYTHONPATH=src python tests/test_golden.py   # print the current digests
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from mopdom import enumerate_all, random_mop, solve_bound
+
+BAND_DIGEST = "79d3f5980035c4bdd4016e41863df931d567488cf94b732adc1cd04eecef9a75"
+RANDOM_DIGEST = "a198a17236e4a1bb41e4f68bd8937e9ac3b1f58acce5caf39a64e6c8297e951e"
+
+# 20 fixed (n, seed) pairs with n spread over 20..150.
+RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
+
+
+def _digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        res = solve_bound(g)
+        h.update(json.dumps([g.n, sorted(res.solution), res.trace.to_obj()]).encode())
+    return h.hexdigest()
+
+
+def band_digest() -> str:
+    """Every triangulation of the 9-, 10- and 11-gon (6 721 graphs)."""
+    return _digest(g for n in range(9, 12) for g in enumerate_all(n))
+
+
+def random_digest() -> str:
+    return _digest(random_mop(n, seed) for n, seed in RANDOM_CASES)
+
+
+def test_exhaustive_band_output_unchanged():
+    assert band_digest() == BAND_DIGEST
+
+
+def test_random_output_unchanged():
+    assert random_digest() == RANDOM_DIGEST
+
+
+if __name__ == "__main__":
+    print("BAND_DIGEST =", repr(band_digest()))
+    print("RANDOM_DIGEST =", repr(random_digest()))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopdom import graph_core
 from mopdom import (
     CrossingChords,
     DuplicateOrDegenerateChord,
@@ -66,6 +67,55 @@ def test_chord_validation_errors():
         build_mop(6, [(0, 2), (2, 0), (2, 4)])
     with pytest.raises(CrossingChords):
         build_mop(5, [(0, 2), (1, 3)])
+
+
+def _brute_crossing(chords):
+    """First interleaving pair of a sorted chord list, by the plain pair scan."""
+    for i, (a, b) in enumerate(chords):
+        for c, d in chords[i + 1 :]:
+            if a < c < b < d or c < a < d < b:
+                return (a, b), (c, d)
+    return None
+
+
+@st.composite
+def chord_sets(draw):
+    """Distinct non-side chords of an n-gon, n in 4..16: either the chords of
+    a random triangulation with some swapped for arbitrary ones, or a plain
+    random selection."""
+    n = draw(st.integers(min_value=4, max_value=16))
+    every = [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
+    if draw(st.booleans()):
+        chords = set(random_mop(n, draw(st.integers(0, 2**32))).chords)
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            if chords:
+                chords.discard(draw(st.sampled_from(sorted(chords))))
+                chords.add(draw(st.sampled_from(every)))
+    else:
+        chords = set(draw(st.lists(st.sampled_from(every), max_size=n)))
+    return n, sorted(chords)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chord_sets())
+def test_fast_crossing_check_agrees_with_pair_scan(case):
+    n, chords = case
+    expected = _brute_crossing(chords)
+    assert graph_core._non_crossing(chords) == (expected is None)
+    if len(chords) == n - 3:
+        if expected is None:
+            assert build_mop(n, chords).chords == tuple(chords)
+        else:
+            with pytest.raises(CrossingChords) as exc:
+                build_mop(n, reversed(chords))
+            assert str(exc.value) == f"chords {expected[0]!r} and {expected[1]!r} cross"
+
+
+def test_crossing_messages_name_the_first_pair():
+    with pytest.raises(CrossingChords, match=r"^chords \(0, 3\) and \(1, 4\) cross$"):
+        build_mop(6, [(0, 3), (1, 4), (2, 5)])
+    with pytest.raises(CrossingChords, match=r"^chords \(0, 4\) and \(1, 5\) cross$"):
+        build_mop(8, [(2, 6), (0, 4), (1, 5), (3, 7), (5, 7)])
 
 
 def test_chords_are_normalized_and_sorted():
