@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .constructive import solve_bound
 from .domination import (
     DominationMode,
@@ -28,7 +26,7 @@ from .domination import (
     is_double_dominating,
     to_csv_row,
 )
-from .errors import MopError, NotMaximalOuterplanar
+from .errors import MopError, NotMaximalOuterplanar, UnreadableInput
 from .generators import enumerate_all, fan, fixture, fixture_names, random_mop, snake
 from .graph_core import (
     MopGraph,
@@ -47,9 +45,16 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
 
 
 def _read_graphs(path: str) -> list[MopGraph]:
@@ -195,6 +200,8 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         if lo < 4 or hi < lo:
             print(f"error: bad --random-n-range {lo},{hi}", file=sys.stderr)
             return 2
+        import numpy as np  # only the random phase needs it
+
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed & _SEED_MASK)))
         for i in range(args.random_count):
             ni = int(rng.integers(lo, hi + 1))

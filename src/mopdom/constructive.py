@@ -5,25 +5,39 @@ forbidden so the base solutions already obey the convention the reductions
 rely on.  Larger graphs are shrunk by rules from ``data/rules.json``:
 single-branch rules keyed to the first deviation on a leaf walk, two-branch
 rules keyed to a degree-3 anchor collecting two clean walks.  A rule deletes
-a handful of vertices (optionally adding a chord to keep the result a MOP),
-recurses, lifts the sub-solution back and appends a fixed addback set.
+a handful of vertices (optionally adding a chord to keep the result a MOP);
+once the graph is small, the base solution is lifted back level by level,
+each lift appending the rule's fixed addback set.
 
-Soundness is enforced locally rather than trusted globally: after every lift
-the candidate solution must literally double-dominate, avoid degree-2
-vertices and fit under (n + k)/2, or the candidate is discarded and the next
-one tried.  The per-rule accounting (how n and k move together, that the
-lift grows by exactly the addback, and the k movement each rule declares) is
-recorded in the trace as soft checks and surfaced as counters.
+The engine is a reduce loop followed by a lift loop over one graph edited in
+place, in the vertex ids of the input (:class:`_Reducer`).  Relabelling
+survivors by rank is monotone, so the triangle, leaf and anchor orders and
+the role picks of the leaf walks are the same in fixed ids as in each
+level's own labels, and the same candidate is chosen.  A level costs time in
+proportion to what it changes: only the leaf walks that read a removed or
+re-linked triangle are redone.
+
+Soundness is enforced locally rather than trusted globally.  A candidate is
+skipped, before anything is edited, if its reduction would not leave a MOP
+on at least 4 vertices.  After every lift the vertices whose neighbourhood
+the reduction changed, and the addback, must be double dominated or avoid
+degree 2, and the set must fit under (n + k)/2; everywhere else the reduced
+graph's solution already guarantees it.  A failed lift raises
+CertificationFailed, and the result is certified in full against the input
+graph at the end.  The per-rule accounting (how n and k move together, that
+the lift grows by exactly the addback, and the k movement each rule
+declares) is recorded in the trace as soft checks and surfaced as counters.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from importlib import resources
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .domination import (
     DominationMode,
@@ -46,9 +60,8 @@ from .errors import (
     RuleMismatch,
     TooLarge,
     TooSmall,
-    VertexOutOfRange,
 )
-from .graph_core import MopGraph, VertexSet, reduce_graph
+from .graph_core import Chord, MopGraph, VertexSet, reduce_graph
 
 BASE_MAX_N = 8
 
@@ -146,24 +159,84 @@ class TraceStep:
         }
 
 
+_PRINTED = (None, False, True)  # printed_ok by its code in the packed log
+_HEAD = 5  # fixed fields of a packed step, before its label values
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
-    steps: tuple[TraceStep, ...]
+    """The steps of one solve, outermost reduction first, kept packed.
+
+    ``log`` holds one record per step: the index of its rule in ``rules``,
+    the index of its label keys in ``keys``, k before the step, the solution
+    size after its lift, its printed-k verdict as an index into
+    ``(None, False, True)``, then its label values (each vertex's label in
+    that step's own graph).  The last step is terminal: its ``rules`` entry
+    is the rule id (``base_case``, ``exact_fallback`` or a direct rule), and
+    it has no labels.  ``n`` is the input's vertex count; n_after, deleted,
+    added_back, telescope_ok and size_exact follow from the rest.
+    :class:`TraceStep` objects are built only when ``steps``, ``to_obj`` or
+    ``to_json`` asks for them."""
+
+    n: int
+    rules: tuple[ReductionRule | str, ...]
+    keys: tuple[tuple[str, ...], ...]
+    log: array
+
+    def _heads(self) -> Iterator[int]:
+        log, keys, i = self.log, self.keys, 0
+        while i < len(log):
+            yield i
+            i += _HEAD + len(keys[log[i + 1]])
+
+    def _fields(self) -> Iterator[tuple]:
+        """The TraceStep fields of every step, derived from the log."""
+        log, n = self.log, self.n
+        heads = list(self._heads())
+        for pos, i in enumerate(heads):
+            rule = self.rules[log[i]]
+            k, size = log[i + 2], log[i + 3]
+            if isinstance(rule, str):
+                yield (rule, n, k, n, k, {}, (), (), size, True, True, None)
+                continue
+            keys = self.keys[log[i + 1]]
+            labels = dict(zip(keys, log[i + _HEAD : i + _HEAD + len(keys)]))
+            nxt = heads[pos + 1]
+            k2, size2 = log[nxt + 2], log[nxt + 3]
+            deleted = tuple(sorted(labels[r] for r in rule.delete))
+            added_back = tuple(sorted({labels[r] for r in rule.addback}))
+            n2 = n - len(set(deleted))
+            yield (
+                rule.rule_id, n, k, n2, k2, labels, deleted, added_back, size,
+                (n - n2) + (k - k2) >= 2 * len(added_back),
+                size == size2 + len(added_back),
+                _PRINTED[log[i + 4]],
+            )
+            n = n2
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(TraceStep(*f) for f in self._fields())
 
     @property
     def depth(self) -> int:
         """Number of reduction steps (the terminal base/direct step excluded)."""
-        return max(len(self.steps) - 1, 0)
+        return max(sum(1 for _ in self._heads()) - 1, 0)
 
     def soft_failures(self) -> dict[str, int]:
-        return {
-            "telescope": sum(1 for s in self.steps if not s.telescope_ok),
-            "size_exact": sum(1 for s in self.steps if not s.size_exact),
-            "printed_k": sum(1 for s in self.steps if s.printed_ok is False),
-        }
+        counts = {"telescope": 0, "size_exact": 0, "printed_k": 0}
+        for *_, telescope_ok, size_exact, printed_ok in self._fields():
+            counts["telescope"] += not telescope_ok
+            counts["size_exact"] += not size_exact
+            counts["printed_k"] += printed_ok is False
+        return counts
 
     def rule_ids(self) -> tuple[str, ...]:
-        return tuple(s.rule_id for s in self.steps)
+        rules, log = self.rules, self.log
+        return tuple(
+            r if isinstance(r, str) else r.rule_id
+            for r in (rules[log[i]] for i in self._heads())
+        )
 
     def to_obj(self) -> list[dict[str, Any]]:
         return [s.to_obj() for s in self.steps]
@@ -234,24 +307,23 @@ def certify(
 def _base_case(n: int, chords: tuple) -> frozenset[int]:
     g = MopGraph(n=n, chords=chords)
     _, witness = _solve_exact(g, standard=False, forbid_deg2=True)
+    k = bad_vertices(g).k
+    if 2 * len(witness) > n + k:  # an exception is not cached, so it repeats
+        raise BoundViolated(
+            f"n={n}: exact minimum {len(witness)} exceeds (n+k)/2 = {(n + k) / 2:g}"
+        )
     return frozenset(witness)
 
 
 def base_case_solve(g: MopGraph) -> VertexSet:
     """Exact minimum double dominating set avoiding degree-2 vertices, for
-    the 4 <= n <= 8 floor of the recursion (lexicographically smallest, so
+    the 4 <= n <= 8 floor of the reduction (lexicographically smallest, so
     results are reproducible)."""
     if g.n < 4:
         raise TooSmall(f"base case needs n >= 4, got n={g.n}")
     if g.n > BASE_MAX_N:
         raise TooLarge(f"base case caps at n={BASE_MAX_N}, got n={g.n}")
-    s = _base_case(g.n, g.chords)
-    rep = bad_vertices(g)
-    if 2 * len(s) > g.n + rep.k:
-        raise BoundViolated(
-            f"n={g.n}: exact minimum {len(s)} exceeds (n+k)/2 = {(g.n + rep.k) / 2:g}"
-        )
-    return s
+    return _base_case(g.n, g.chords)
 
 
 # --- rule application ---------------------------------------------------------------
@@ -273,7 +345,9 @@ def apply_rule(
 
     Returns the reduced graph and the old->new vertex map.  Raises
     RuleMismatch when the labels do not carry the roles the rule mentions,
-    ResultNotMaximalOuterplanar when the reduction breaks the structure."""
+    ResultNotMaximalOuterplanar when the reduction breaks the structure.
+    The engine edits its graph in place instead; this is the reference it
+    must agree with."""
     if rule.kind == "direct":
         raise RuleMismatch("direct rules emit a solution, not a reduction")
     delete = _resolve(labels, rule.delete)
@@ -281,21 +355,21 @@ def apply_rule(
     return reduce_graph(g, delete, chords)
 
 
-def _printed_ok(
+def _printed_check(
     spec: Mapping[str, Any] | None,
-    g: MopGraph,
+    r: _Reducer,
     labels: Mapping[str, int],
     k_before: int,
-    k_after: int,
-) -> bool | None:
-    """Evaluate the k movement the rule declares; None if not stated."""
+) -> Callable[[int], bool] | None:
+    """The k movement the rule declares, as a test of k after the reduction;
+    None if not stated.  Read before the reduction edits the graph."""
     if spec is None:
         return None
     kind = spec.get("kind")
     if kind == "eq":
-        return k_after == k_before + int(spec["delta"])
+        return lambda k: k == k_before + int(spec["delta"])
     if kind == "le":
-        return k_after <= k_before + int(spec["delta"])
+        return lambda k: k <= k_before + int(spec["delta"])
     if kind == "conditional":
         # k drops by one exactly when the outer-cycle neighbour of the pivot
         # away from the branch has degree 2 in the unreduced graph.
@@ -303,20 +377,24 @@ def _printed_ok(
         other = labels.get(spec["other"])
         if pivot is None or other is None:
             return None
-        cand = {(pivot - 1) % g.n, (pivot + 1) % g.n} - {other}
+        cand = {r.prv[pivot], r.nxt[pivot]} - {other}
         if len(cand) != 1:
             return None
         successor = cand.pop()
-        expect = k_before - 1 if len(g.adjacency[successor]) == 2 else k_before
-        return k_after == expect
+        expect = k_before - 1 if len(r.adjacency[successor]) == 2 else k_before
+        return lambda k: k == expect
     return None
 
 
 # --- candidate enumeration ---------------------------------------------------------
 
 
+# Role names of the second branch; shared strings keep retained traces small.
+_V_ROLE = {f"u{i}": f"v{i}" for i in range(1, 11)}
+
+
 def _rename_to_v(labels: Mapping[str, int]) -> dict[str, int]:
-    return {"v" + key[1:]: val for key, val in labels.items()}
+    return {_V_ROLE[key]: val for key, val in labels.items()}
 
 
 def _normalize_d1(
@@ -374,36 +452,29 @@ def _pair_candidate(
 
 
 def _candidates(
-    walks: Iterable[BranchShape | Deviation],
+    deviations_by_leaf: Iterable[Deviation],
+    groups_by_anchor: Iterable[Iterable[BranchShape]],
 ) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
-    """Reduction candidates in deterministic order, from the classified leaf
-    walks of one level.
+    """Reduction candidates of one level in deterministic order.
 
-    Any deviation takes precedence (leaf index order); only when every leaf
-    walk is clean are two-branch sites offered, smallest anchor first, pairs
-    ordered by (distance, leaf index)."""
+    ``deviations_by_leaf`` are the deviating leaf walks, ascending by leaf;
+    ``groups_by_anchor`` are the clean walks of each anchor that collects at
+    least two, ascending by anchor.  Any deviation takes precedence; only
+    when every leaf walk is clean are two-branch sites offered, smallest
+    anchor first, pairs ordered by (distance, leaf index).  Both inputs are
+    read lazily, so a level whose first candidate applies reads one entry."""
     deviations, _ = load_rules()
-    shapes: list[BranchShape] = []
-    devs: list[Deviation] = []
-    for res in walks:
-        if isinstance(res, Deviation):
-            devs.append(res)
-        else:
-            shapes.append(res)
-    if devs:
-        for dev in sorted(devs, key=lambda d: d.leaf):
-            rule = deviations.get(dev.variant)
-            if rule is not None:
-                yield rule, dict(dev.witness_labels)
+    any_deviation = False
+    for dev in deviations_by_leaf:
+        any_deviation = True
+        rule = deviations.get(dev.variant)
+        if rule is not None:
+            yield rule, dict(dev.witness_labels)
+    if any_deviation:
         return
 
-    by_anchor: dict[int, list[BranchShape]] = {}
-    for sh in shapes:
-        by_anchor.setdefault(sh.anchor, []).append(sh)
-    for anchor in sorted(by_anchor):
-        group = sorted(by_anchor[anchor], key=lambda sh: (sh.dist, sh.leaf))
-        if len(group) < 2:
-            continue
+    for shapes in groups_by_anchor:
+        group = sorted(shapes, key=lambda sh: (sh.dist, sh.leaf))
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 cand = _pair_candidate(group[i], group[j])
@@ -411,122 +482,514 @@ def _candidates(
                     yield cand
 
 
+def _ascending(heap: list, valid: Callable[[Any], bool]) -> Iterator[Any]:
+    """The valid entries of a lazily pruned min-heap, smallest first.  The
+    smallest is read off the top; the rest, which a level seldom asks for,
+    are sorted on demand."""
+    while heap and not valid(heap[0]):
+        heappop(heap)
+    if not heap:
+        return
+    first = heap[0]
+    yield first
+    yield from sorted({x for x in heap if x != first and valid(x)})
+
+
 # --- the engine ---------------------------------------------------------------
 
+Triangle = tuple[int, int, int]  # a triangle by its sorted vertex triple
 
-def _terminal_step(rule_id: str, n: int, k: int, size: int) -> TraceStep:
-    return TraceStep(
-        rule_id=rule_id,
-        n_before=n,
-        k_before=k,
-        n_after=n,
-        k_after=k,
-        labels={},
-        deleted=(),
-        added_back=(),
-        size_after_lift=size,
-        telescope_ok=True,
-        size_exact=True,
-        printed_ok=None,
+
+def _tri(a: int, b: int, c: int) -> Triangle:
+    return tuple(sorted((a, b, c)))  # type: ignore[return-value]
+
+
+class _Reducer:
+    """A MOP shrinking in place, in the vertex ids of the input graph.
+
+    It holds the outer cycle as ``nxt``/``prv`` links, the adjacency, the dual
+    tree with triangles keyed by their sorted vertex triple, the classified
+    walk of every leaf with a reverse index from each triangle to the walks
+    that read it, the count k of bad vertices, and a Fenwick tree over the
+    surviving vertices that gives each one its label in the current graph
+    (its rank).  ``n`` and ``adjacency`` together with ``vertices``,
+    ``neighbours`` and ``degree`` are the interface that
+    :func:`match_branch_shape` reads, so the walks are classified by the
+    same code as on a :class:`~mopdom.dual_tree.DualTree`.
+    """
+
+    def __init__(self, g: MopGraph, k: int) -> None:
+        n = g.n
+        self.n = n
+        self.k = k
+        self.adjacency = [set(nb) for nb in g.adjacency]
+        self.nxt = [*range(1, n), 0]
+        self.prv = [n - 1, *range(n - 1)]
+        self._fenwick = [i & -i for i in range(n + 1)]  # every vertex present
+        t = build_dual_tree(g)
+        keys = [tri.vertices for tri in t.triangles]
+        self.dual = {key: [keys[j] for j in nbrs] for key, nbrs in zip(keys, t.adjacency)}
+        self.walks: dict[Triangle, BranchShape | Deviation] = {}
+        self._read: dict[Triangle, frozenset[Triangle]] = {}  # leaf -> triangles read
+        self._readers: dict[Triangle, set[Triangle]] = {}  # triangle -> leaves
+        self._deviating: list[Triangle] = []  # lazy heap of deviating leaves
+        self._at_anchor: dict[Triangle, set[Triangle]] = {}  # anchor -> clean leaves
+        self._anchors: list[Triangle] = []  # lazy heap of anchors with two or more
+        self._reads: list[Triangle] = []
+        if n > BASE_MAX_N:
+            for key, nbrs in self.dual.items():
+                if len(nbrs) == 1:
+                    self._walk(key)
+
+    # -- the walk interface; every triangle read is noted for the reverse index
+
+    def vertices(self, node: Triangle) -> Triangle:
+        self._reads.append(node)
+        return node
+
+    def neighbours(self, node: Triangle) -> list[Triangle]:
+        self._reads.append(node)
+        return sorted(self.dual[node])
+
+    def degree(self, node: Triangle) -> int:
+        self._reads.append(node)
+        return len(self.dual[node])
+
+    def _walk(self, leaf: Triangle) -> None:
+        self._reads = []
+        res = match_branch_shape(self, self, leaf)
+        read = frozenset(self._reads)
+        self.walks[leaf] = res
+        self._read[leaf] = read
+        for node in read:
+            self._readers.setdefault(node, set()).add(leaf)
+        if isinstance(res, Deviation):
+            heappush(self._deviating, leaf)
+        else:
+            group = self._at_anchor.setdefault(res.anchor, set())
+            group.add(leaf)
+            if len(group) == 2:
+                heappush(self._anchors, res.anchor)
+
+    def _unwalk(self, leaf: Triangle) -> None:
+        res = self.walks.pop(leaf)
+        for node in self._read.pop(leaf):
+            readers = self._readers[node]
+            readers.discard(leaf)
+            if not readers:
+                del self._readers[node]
+        if isinstance(res, BranchShape):
+            group = self._at_anchor[res.anchor]
+            group.discard(leaf)
+            if not group:
+                del self._at_anchor[res.anchor]
+
+    # -- candidates, in the order of _candidates
+
+    def deviations(self) -> Iterator[Deviation]:
+        walks = self.walks
+        for leaf in _ascending(self._deviating, lambda x: type(walks.get(x)) is Deviation):
+            yield walks[leaf]
+
+    def site_groups(self) -> Iterator[list[BranchShape]]:
+        at, walks = self._at_anchor, self.walks
+        for anchor in _ascending(self._anchors, lambda a: len(at.get(a, ())) >= 2):
+            yield [walks[leaf] for leaf in at[anchor]]
+
+    # -- labels and counts
+
+    def rank(self, v: int) -> int:
+        """The label of surviving vertex v in the current graph."""
+        fen, r = self._fenwick, 0
+        while v:
+            r += fen[v]
+            v &= v - 1
+        return r
+
+    def _bad(self, v: int) -> bool:
+        # For n >= 4 no two degree-2 vertices are adjacent, so the next one
+        # clockwise is at least 3 steps away unless it is 2 steps away.
+        adj = self.adjacency
+        return len(adj[v]) == 2 and len(adj[self.nxt[self.nxt[v]]]) != 2
+
+    def level_graph(self) -> tuple[MopGraph, list[int]]:
+        """The current graph with its vertices relabelled 0..n-1 by rank,
+        and the vertex id behind each label."""
+        start = next(iter(self.dual))[0]
+        ids = [start]
+        v = self.nxt[start]
+        while v != start:
+            ids.append(v)
+            v = self.nxt[v]
+        ids.sort()
+        label = {v: i for i, v in enumerate(ids)}
+        n = len(ids)
+        chords = []
+        for a in ids:
+            la = label[a]
+            for b in self.adjacency[a]:
+                lb = label[b]
+                if la < lb and lb - la not in (1, n - 1):
+                    chords.append((la, lb))
+        return MopGraph(n=n, chords=tuple(sorted(chords))), ids
+
+    # -- one reduction
+
+    def plan(
+        self, delete: Iterable[int], chords: Iterable[Chord]
+    ) -> tuple[set[int], list[Chord]]:
+        """Decide, without editing, whether deleting ``delete`` and adding
+        ``chords`` leaves a MOP, exactly as :func:`reduce_graph` decides it.
+
+        Returns the deleted set and the edges the reduced graph gains: the
+        added chords that are new, and the pairs of survivors made
+        consecutive by a deleted run that are not adjacent yet (reduce_graph
+        adds those implicitly as cycle edges).  The reduced graph is a MOP
+        exactly when it has 2n'-3 edges and no gained chord crosses an edge;
+        only gained chords can cross, since survivors keep their cyclic
+        order.  Raises ResultNotMaximalOuterplanar otherwise."""
+        adj, nxt, prv = self.adjacency, self.nxt, self.prv
+        dele = set(delete)
+        n2 = self.n - len(dele)
+        if n2 < 3:
+            raise ResultNotMaximalOuterplanar(f"only {n2} vertices would survive")
+        gained: set[Chord] = set()
+        for v in dele:
+            if prv[v] not in dele:
+                a, b = prv[v], nxt[v]
+                while b in dele:
+                    b = nxt[b]
+                if b not in adj[a]:
+                    gained.add((a, b) if a < b else (b, a))
+        added: list[Chord] = []
+        for a, b in chords:
+            if a in dele or b in dele:
+                raise ResultNotMaximalOuterplanar(
+                    f"added chord {(a, b)!r} touches a deleted or unknown vertex"
+                )
+            if a == b:
+                raise ResultNotMaximalOuterplanar(f"added chord {(a, b)!r} is a self-loop")
+            if b not in adj[a]:
+                pair = (a, b) if a < b else (b, a)
+                if pair not in gained:
+                    added.append(pair)
+                gained.add(pair)
+        lost = sum(len(adj[v]) for v in dele) - sum(len(adj[v] & dele) for v in dele) // 2
+        m2 = 2 * self.n - 3 - lost + len(gained)
+        if m2 != 2 * n2 - 3:
+            raise ResultNotMaximalOuterplanar(f"n={n2} needs {n2 - 3} chords, got {m2 - n2}")
+        for a, b in added:
+            if self._crossed(a, b, dele, gained):
+                raise ResultNotMaximalOuterplanar(f"added chord {(a, b)!r} crosses an edge")
+        return dele, sorted(gained)
+
+    def _crossed(self, a: int, b: int, dele: set[int], gained: set[Chord]) -> bool:
+        """True if an edge of the reduced graph crosses the chord (a, b):
+        some edge leaves the shorter of the two survivor arcs between a and
+        b for the other one."""
+        nxt = self.nxt
+        arcs: tuple[list[int], list[int]] = ([], [])
+        ends = (b, a)
+        heads = [a, b]
+        while True:
+            for side in (0, 1):
+                v = nxt[heads[side]]
+                while v in dele:
+                    v = nxt[v]
+                if v == ends[side]:
+                    inside = set(arcs[side])
+                    for x in inside:
+                        extra = [q if p == x else p for p, q in gained if x in (p, q)]
+                        for y in (*self.adjacency[x], *extra):
+                            if y not in inside and y not in dele and y != a and y != b:
+                                return True
+                    return False
+                arcs[side].append(v)
+                heads[side] = v
+
+    def apply(self, dele: set[int], gained: list[Chord]) -> None:
+        """Carry out a plan: delete, link, re-count k, update the dual tree,
+        and redo the leaf walks that read a removed or re-linked triangle."""
+        adj, nxt, prv, dual = self.adjacency, self.nxt, self.prv, self.dual
+
+        removed: set[Triangle] = set()
+        for v in dele:
+            nb = adj[v]
+            for x in nb:
+                for y in nb & adj[x]:
+                    if x < y:
+                        removed.add(_tri(v, x, y))
+
+        # Badness of v reads v's degree and that of the vertex two steps on.
+        changed = set(dele)
+        for v in dele:
+            changed |= adj[v]
+        for a, b in gained:
+            changed.add(a)
+            changed.add(b)
+        recount = set()
+        for x in changed:
+            p = prv[x]
+            recount.update((x, p, prv[p]))
+        self.k -= sum(self._bad(v) for v in recount)
+
+        fen = self._fenwick
+        for v in dele:
+            for x in adj[v]:
+                if x not in dele:
+                    adj[x].discard(v)
+            p, q = prv[v], nxt[v]
+            nxt[p], prv[q] = q, p
+            i = v + 1
+            while i < len(fen):
+                fen[i] -= 1
+                i += i & -i
+        for a, b in gained:
+            adj[a].add(b)
+            adj[b].add(a)
+        self.n -= len(dele)
+        self.k += sum(self._bad(v) for v in recount - dele)
+
+        touched: set[Triangle] = set()
+        for t in removed:
+            for u in dual.pop(t):
+                if u not in removed:
+                    dual[u].remove(t)
+                    touched.add(u)
+        # Every new triangle holds a gained edge.  An old triangle across one
+        # of its sides lost the removed triangle that held that side, so it
+        # is already touched.
+        new = {_tri(a, b, c) for a, b in gained for c in adj[a] & adj[b]}
+        for t in new:
+            dual[t] = []
+        for t in new:
+            a, b, c = t
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                for w in adj[x] & adj[y]:
+                    u = _tri(x, y, w)
+                    if w != z and u not in dual[t]:
+                        dual[t].append(u)
+                        dual[u].append(t)
+        touched |= new
+
+        if self.n > BASE_MAX_N:
+            stale: set[Triangle] = set()
+            for t in (*removed, *touched):
+                stale |= self._readers.get(t, set())
+            for leaf in stale:
+                self._unwalk(leaf)
+            for t in stale | touched:
+                if len(dual.get(t, ())) == 1:
+                    self._walk(t)
+
+    def undo(self, dele: Iterable[int], gained: Iterable[Chord]) -> None:
+        """Restore the adjacency from before ``apply(dele, gained)``, once
+        every later reduction is undone.  A deleted vertex keeps its own
+        neighbour set, so only the survivors' sets change back.  The lift
+        reads nothing else, so nothing else is restored."""
+        adj = self.adjacency
+        for a, b in gained:
+            adj[a].discard(b)
+            adj[b].discard(a)
+        for v in dele:
+            for x in adj[v]:
+                adj[x].add(v)
+
+    def lift_failures(self, window: Iterable[int], s: set[int], n: int, k: int) -> list[str]:
+        """The reasons certify would give for ``s`` on the current graph of
+        n vertices and k bad ones, read at ``window`` only.
+
+        Exact when ``s`` is a certified solution of the reduced graph plus
+        the addback, and ``window`` holds the deleted vertices, the ends of
+        every gained edge and the addback: any other vertex keeps its
+        neighbours from the reduced graph and may gain more, so it stays
+        double dominated, and a member keeps a degree above 2."""
+        adj = self.adjacency
+        reasons = []
+        if any(w not in s and not _two_in(adj[w], s) for w in window):
+            reasons.append("not double dominating")
+        deg2 = sorted(w for w in window if w in s and len(adj[w]) == 2)
+        if deg2:
+            reasons.append(f"contains degree-2 vertices {deg2}")
+        if 2 * len(s) > n + k:
+            reasons.append(f"size {len(s)} exceeds (n+k)/2 = {(n + k) / 2:g}")
+        return reasons
+
+
+def _two_in(nbrs: Iterable[int], s: set[int]) -> bool:
+    found = 0
+    for x in nbrs:
+        if x in s:
+            found += 1
+            if found == 2:
+                return True
+    return False
+
+
+@dataclass(slots=True)
+class _Level:
+    """One applied reduction: its undo record, and what its lift and its
+    trace step need."""
+
+    rule: ReductionRule
+    labels: dict[str, int]  # vertex ids
+    ranks: list[int]  # the label values in the level's own graph
+    n: int
+    k: int
+    printed: bool | None
+    deleted: set[int]
+    gained: list[Chord]
+    addback: frozenset[int]
+    window: set[int]  # where the lift is checked: deleted, gained ends, addback
+
+
+def _reduce(
+    r: _Reducer, rule: ReductionRule, labels: dict[str, int], dele: set[int], gained: list[Chord]
+) -> _Level:
+    n, k = r.n, r.k
+    ranks = [r.rank(v) for v in labels.values()]
+    printed = _printed_check(rule.k_printed, r, labels, k)
+    r.apply(dele, gained)
+    addback = frozenset(labels[x] for x in rule.addback)
+    return _Level(
+        rule=rule,
+        labels=labels,
+        ranks=ranks,
+        n=n,
+        k=k,
+        printed=None if printed is None else printed(r.k),
+        deleted=dele,
+        gained=gained,
+        addback=addback,
+        window=dele | addback | {v for e in gained for v in e},
     )
 
 
-def _solve(g: MopGraph, permissive: bool) -> tuple[VertexSet, list[TraceStep]]:
-    rep = bad_vertices(g)
-    n, k = g.n, rep.k
-    if n <= BASE_MAX_N:
-        s = base_case_solve(g)
-        return s, [_terminal_step("base_case", n, k, len(s))]
-
-    # Only the classified walks outlive this point: the dual tree is dropped
-    # before the recursion, so no level keeps its own alive.
-    t = build_dual_tree(g)
-    walks = [match_branch_shape(g, t, leaf) for leaf in t.leaves()]
-    del t
+def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
+    """Apply the first candidate that fits, or end the reduce loop with a
+    terminal (rule id, solution).  Raises NoRuleApplies if neither happens."""
     failures: list[str] = []
-    applied_any = False
-    for rule, labels in _candidates(walks):
+    for rule, labels in _candidates(r.deviations(), r.site_groups()):
         if rule.kind == "direct":
-            s = frozenset(labels[r] for r in rule.direct)
-            check = certify(g, s)
-            if not check.certified:
-                failures.append(f"{rule.rule_id}: {'; '.join(check.reasons)}")
-                continue
-            return s, [_terminal_step(rule.rule_id, n, k, len(s))]
+            s = {labels[x] for x in rule.direct}
+            g, ids = r.level_graph()
+            check = certify(g, [i for i, v in enumerate(ids) if v in s])
+            if check.certified:
+                return rule.rule_id, s
+            failures.append(f"{rule.rule_id}: {'; '.join(check.reasons)}")
+            continue
         try:
-            g2, remap = apply_rule(g, rule, labels)
-        except (RuleMismatch, ResultNotMaximalOuterplanar, VertexOutOfRange) as exc:
+            delete = _resolve(labels, rule.delete)
+            chords = [tuple(_resolve(labels, pair)) for pair in rule.add_chords]
+            dele, gained = r.plan(delete, chords)
+        except (RuleMismatch, ResultNotMaximalOuterplanar) as exc:
             failures.append(f"{rule.rule_id}: {exc}")
             continue
-        if g2.n < 4:
-            failures.append(f"{rule.rule_id}: reduction leaves only n={g2.n}")
+        if r.n - len(dele) < 4:
+            failures.append(f"{rule.rule_id}: reduction leaves only n={r.n - len(dele)}")
             continue
-        applied_any = True
-        try:
-            sub, sub_steps = _solve(g2, permissive)
-        except (NoRuleApplies, CertificationFailed) as exc:
-            failures.append(f"{rule.rule_id}: subproblem failed: {exc}")
-            continue
-        missing = [
-            labels[r] for r in rule.required if remap[labels[r]] not in sub
-        ]
-        if missing:
-            failures.append(
-                f"{rule.rule_id}: required vertices {sorted(missing)} not in sub-solution"
-            )
-            continue
-        inverse = {new: old for old, new in remap.items()}
-        addback = frozenset(labels[r] for r in rule.addback)
-        s = frozenset(inverse[w] for w in sub) | addback
-        check = certify(g, s)
-        if not check.certified:
-            failures.append(f"{rule.rule_id}: lift fails: {'; '.join(check.reasons)}")
-            continue
-        rep2 = bad_vertices(g2)
-        step = TraceStep(
-            rule_id=rule.rule_id,
-            n_before=n,
-            k_before=k,
-            n_after=g2.n,
-            k_after=rep2.k,
-            labels=dict(labels),
-            deleted=tuple(sorted(labels[r] for r in rule.delete)),
-            added_back=tuple(sorted(addback)),
-            size_after_lift=len(s),
-            telescope_ok=(n - g2.n) + (k - rep2.k) >= 2 * len(addback),
-            size_exact=len(s) == len(sub) + len(addback),
-            printed_ok=_printed_ok(rule.k_printed, g, labels, k, rep2.k),
-        )
-        return s, [step] + sub_steps
+        return _reduce(r, rule, labels, dele, gained)
 
-    if permissive and n <= exact_limit():
+    if permissive and r.n <= exact_limit():
+        g, ids = r.level_graph()
         _, witness = _solve_exact(g, standard=False, forbid_deg2=True)
-        s = frozenset(witness)
-        if 2 * len(s) <= n + k:
-            return s, [_terminal_step("exact_fallback", n, k, len(s))]
+        if 2 * len(witness) <= r.n + r.k:
+            return "exact_fallback", {ids[i] for i in witness}
         failures.append("exact_fallback: exact minimum exceeds (n+k)/2")
-
     detail = "; ".join(failures) if failures else "no reduction candidate matched"
-    if applied_any:
-        raise CertificationFailed(f"n={n}: all candidates failed: {detail}")
-    raise NoRuleApplies(f"n={n}: {detail}")
+    raise NoRuleApplies(f"n={r.n}: {detail}")
+
+
+@lru_cache(maxsize=64)
+def _shared_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
+    """One tuple object per distinct label-key order, shared by all traces."""
+    return keys
+
+
+def _pack(n: int, levels: list[_Level], sizes: list[int], end: str, k_end: int) -> ReductionTrace:
+    rules: dict[int, int] = {}  # id(rule) -> index; rules hold dicts, so are unhashable
+    table: list[ReductionRule | str] = []
+    keys: dict[tuple[str, ...], int] = {}
+    flat: list[int] = []
+
+    def rule_index(rule: ReductionRule | str) -> int:
+        if id(rule) not in rules:
+            rules[id(rule)] = len(table)
+            table.append(rule)
+        return rules[id(rule)]
+
+    for level, size in zip(levels, sizes):
+        ki = keys.setdefault(tuple(level.labels), len(keys))
+        flat += (rule_index(level.rule), ki, level.k, size, _PRINTED.index(level.printed))
+        flat += level.ranks
+    flat += (rule_index(end), keys.setdefault((), len(keys)), k_end, sizes[-1], 0)
+    return ReductionTrace(
+        n=n,
+        rules=tuple(table),
+        keys=tuple(map(_shared_keys, keys)),
+        log=array("H" if n < 1 << 16 else "q", flat),
+    )
+
+
+def _solve(g: MopGraph, k: int, permissive: bool) -> tuple[set[int], ReductionTrace]:
+    if g.n <= BASE_MAX_N:
+        s = base_case_solve(g)
+        return set(s), _pack(g.n, [], [len(s)], "base_case", k)
+
+    r = _Reducer(g, k)
+    levels: list[_Level] = []
+    while r.n > BASE_MAX_N:
+        try:
+            step = _next_step(r, permissive)
+        except NoRuleApplies as exc:
+            if not levels:
+                raise
+            raise CertificationFailed(
+                f"n={g.n}: no candidate applies after {len(levels)} reductions: {exc}"
+            ) from exc
+        if not isinstance(step, _Level):
+            end, s = step
+            break
+        levels.append(step)
+    else:
+        sub, ids = r.level_graph()
+        end, s = "base_case", {ids[i] for i in base_case_solve(sub)}
+    k_end = r.k
+
+    sizes = [len(s)]
+    for level in reversed(levels):
+        r.undo(level.deleted, level.gained)
+        rule, labels = level.rule, level.labels
+        missing = sorted(labels[x] for x in rule.required if labels[x] not in s)
+        if missing:
+            raise CertificationFailed(
+                f"n={level.n}: {rule.rule_id}: required vertices {missing} "
+                f"(input ids) not in sub-solution"
+            )
+        s |= level.addback
+        reasons = r.lift_failures(level.window, s, level.n, level.k)
+        if reasons:
+            raise CertificationFailed(
+                f"n={level.n}: {rule.rule_id}: lift fails: {'; '.join(reasons)}"
+            )
+        sizes.append(len(s))
+    sizes.reverse()
+    return s, _pack(g.n, levels, sizes, end, k_end)
 
 
 def solve_bound(g: MopGraph, *, permissive: bool = False) -> CertifiedResult:
     """Construct a double dominating set of size at most (n + k)/2, where k
     counts the bad vertices of g, and certify it.
 
-    Every recursion level re-checks its own lift, so a returned result is
-    always certified.  With ``permissive=True`` a graph the rule engine
-    cannot reduce falls back to the exact solver when it fits under the
-    exact-size limit; by default such graphs raise NoRuleApplies or
-    CertificationFailed instead, keeping the engine honest."""
-    bad_vertices(g)  # raises TooSmall for n < 4
-    floor = g.n * 3 + 200
-    if sys.getrecursionlimit() < floor:
-        sys.setrecursionlimit(floor)
-    s, steps = _solve(g, permissive)
-    result = certify(g, s, trace=ReductionTrace(steps=tuple(steps)))
-    if not result.certified:  # pragma: no cover - every path above re-checks
+    Every lift is re-checked where the reduction changed the graph, and the
+    result is certified in full against g, so a returned result is always
+    certified.  With ``permissive=True`` a graph the rule engine cannot
+    reduce falls back to the exact solver when it fits under the exact-size
+    limit; by default such graphs raise NoRuleApplies or CertificationFailed
+    instead, keeping the engine honest."""
+    k = bad_vertices(g).k  # raises TooSmall for n < 4
+    s, trace = _solve(g, k, permissive)
+    result = certify(g, s, trace=trace)
+    if not result.certified:  # pragma: no cover - every lift is re-checked
         raise CertificationFailed("; ".join(result.reasons))
     return result

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import Infeasible, TooLarge, TooSmall
+from .errors import BadParameter, Infeasible, TooLarge, TooSmall
 from .graph_core import MopGraph
 
 DEFAULT_EXACT_LIMIT = 22
@@ -45,12 +45,15 @@ def _as_mode(mode: DominationMode | str) -> DominationMode:
 def exact_limit() -> int:
     """Current exact-solver vertex limit (env MOPDOM_EXACT_LIMIT, default 22).
 
-    Read at call time so tests and long campaigns can adjust it."""
+    Read at call time so tests and long campaigns can adjust it.  A value
+    that is not an integer raises BadParameter."""
     raw = os.environ.get("MOPDOM_EXACT_LIMIT", "")
-    try:
-        return int(raw) if raw else DEFAULT_EXACT_LIMIT
-    except ValueError:
+    if not raw:
         return DEFAULT_EXACT_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadParameter(f"MOPDOM_EXACT_LIMIT must be an integer, got {raw!r}") from None
 
 
 # --- predicates ---------------------------------------------------------------

@@ -52,6 +52,15 @@ class DualTree:
             nbr[j].append(i)
         return tuple(tuple(sorted(x)) for x in nbr)
 
+    # The walk interface read by :func:`match_branch_shape`; the constructive
+    # engine's mutable state offers the same four reads.
+
+    def vertices(self, node: int) -> tuple[int, int, int]:
+        return self.triangles[node].vertices
+
+    def neighbours(self, node: int) -> tuple[int, ...]:
+        return self.adjacency[node]
+
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
@@ -141,7 +150,8 @@ def nearest_degree3(t: DualTree, leaf: int):
 
 @dataclass(frozen=True)
 class BranchShape:
-    """A clean leaf-to-anchor walk of length 1, 2, 4 or 6."""
+    """A clean leaf-to-anchor walk of length 1, 2, 4 or 6.  ``leaf`` and
+    ``anchor`` are node ids of the tree that was walked."""
 
     leaf: int
     anchor: int
@@ -178,26 +188,28 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
     Returns a :class:`BranchShape` (anchor at distance 1, 2, 4 or 6) or a
     :class:`Deviation`.  Requires n >= 9 so that walk positions 2..6 cannot
     run off the far end of a path tree.
+
+    Only ``g.n``, ``g.adjacency`` and the tree's ``vertices``,
+    ``neighbours`` and ``degree`` are read, so any object offering those
+    can stand in for the graph and its dual tree.
     """
     if g.n < 9:
         raise PreconditionTooSmall(f"branch matching needs n >= 9, got {g.n}")
     if t.degree(leaf) != 1:
         raise NotALeaf(f"dual node {leaf} has degree {t.degree(leaf)}")
 
-    tri = lambda i: set(t.triangles[i].vertices)
+    tri = lambda i: set(t.vertices(i))
     f1 = tri(leaf)
-    u1 = _deg2_vertex_of_ear(g, t.triangles[leaf].vertices)
+    u1 = _deg2_vertex_of_ear(g, t.vertices(leaf))
     u2, u3 = sorted(f1 - {u1})
 
-    walk = [leaf]
-    cur, prev = leaf, -1
+    cur, prev = leaf, None
 
     def step() -> int:
         nonlocal cur, prev
-        options = [x for x in t.adjacency[cur] if x != prev]
+        options = [x for x in t.neighbours(cur) if x != prev]
         assert options, "walk ran off a path end; impossible for n >= 9 patterns"
         prev, cur = cur, options[0]
-        walk.append(cur)
         return cur
 
     def labels(**kw: int) -> dict[str, int]:

@@ -38,6 +38,10 @@ class EmptyOrDisconnected(MopError):
     """An edge list is empty or the graph it describes is disconnected."""
 
 
+class UnreadableInput(MopError):
+    """An input file is missing, cannot be read, or is not UTF-8 text."""
+
+
 class ResultNotMaximalOuterplanar(MopError):
     """A reduction produced something other than a maximal outerplanar graph."""
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BadParameter, UnknownFixture
 from .graph_core import Chord, MopGraph, _unchecked, build_mop
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ENUMERATE_N = 16
 
@@ -110,6 +111,8 @@ def enumerate_all(n: int, dedup: bool = False) -> Iterator[MopGraph]:
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
     """Uniform integer in [0, bound) for arbitrary-precision bounds."""
+    import numpy as np
+
     if bound <= 1:
         return 0
     bits = bound.bit_length()
@@ -134,6 +137,8 @@ def random_mop(n: int, seed: int) -> MopGraph:
         raise BadParameter(f"random_mop needs n >= 4, got {n}")
     if not isinstance(seed, int):
         raise BadParameter(f"seed must be an int, got {type(seed).__name__}")
+    import numpy as np  # imported here so that importing the package stays light
+
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & (2**64 - 1))))
     cat = [catalan(i) for i in range(n)]
 

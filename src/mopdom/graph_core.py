@@ -440,7 +440,16 @@ def to_edge_list(g: MopGraph) -> str:
     return "\n".join(f"{a} {b}" for a, b in g.edges()) + "\n"
 
 
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
+def _vertex_id(token: str) -> int | str:
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_edge_list(text: str) -> list[tuple[int | str, int | str]]:
+    """Edges ``u v``, one per line; ``#`` starts a comment line.  A token
+    that reads as an integer is that integer, any other is a string id."""
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -449,7 +458,7 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
         parts = line.split()
         if len(parts) != 2:
             raise NotMaximalOuterplanar(f"bad edge line {line!r}")
-        out.append((int(parts[0]), int(parts[1])))
+        out.append((_vertex_id(parts[0]), _vertex_id(parts[1])))
     return out
 
 

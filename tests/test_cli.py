@@ -118,6 +118,22 @@ def test_solve_malformed_graph_is_usage_error(capsys, tmp_path, text):
     assert captured.err.startswith("error: ")
 
 
+def test_solve_missing_file_is_usage_error(capsys, tmp_path):
+    assert run(["solve", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")
+
+
+def test_solve_non_utf8_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "g.ndjson"
+    path.write_bytes(b"\xff\xfe" + to_json(snake(6)).encode("utf-16-le"))
+    assert run(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not UTF-8" in captured.err
+
+
 # --- exact ---------------------------------------------------------------
 
 
@@ -132,6 +148,15 @@ def test_exact_modes(capsys, monkeypatch, tmp_path):
     assert run(["exact", str(path), "--forbid-deg2"]) == 0
     (obj,) = [json.loads(ln) for ln in lines(capsys)]
     assert obj["witness"] == [1, 2, 4, 5]
+
+
+def test_malformed_exact_limit_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "abc")
+    feed(monkeypatch, to_json(snake(6)))
+    assert run(["exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MOPDOM_EXACT_LIMIT" in captured.err
 
 
 def test_exact_infeasible(capsys, monkeypatch):
@@ -264,6 +289,13 @@ def test_convert_to_dot(capsys, monkeypatch):
     assert run(["convert", "--to", "dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("graph mop {") and out.count(" -- ") == 7
+
+
+def test_convert_accepts_string_ids(capsys, monkeypatch):
+    feed(monkeypatch, "a b\nb c\nc a\n")
+    assert run(["convert", "--to", "json"]) == 0
+    (obj,) = [json.loads(ln) for ln in lines(capsys)]
+    assert obj == {"n": 3, "chords": []}
 
 
 def test_convert_rejects_non_mop_edges(capsys, monkeypatch):

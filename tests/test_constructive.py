@@ -1,5 +1,8 @@
+import gc
 import json
 import re
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,6 +29,7 @@ from mopdom import (
     is_double_dominating,
     load_rules,
     match_branch_shape,
+    random_mop,
     snake,
     solve_bound,
 )
@@ -217,6 +221,31 @@ class TestSolveBound:
         res = solve_bound(snake(150))
         assert res.certified and len(res.solution) == 76
         assert res.trace.depth == 36
+
+    def test_deep_inputs_ignore_the_recursion_limit(self):
+        # One vertex of the fan has degree n - 1 = 9 999.
+        limit = sys.getrecursionlimit()
+        for g in (snake(10_000), fan(3333)):
+            assert g.n == 10_000
+            assert solve_bound(g).certified
+        assert sys.getrecursionlimit() == limit
+
+    def test_result_footprint(self):
+        # Memory a caller keeps per result, the input graph excluded; about
+        # 17 KB on Python 3.11.  The caches are warmed by a first solve.
+        g = random_mop(400, 0)
+        g.adjacency
+        solve_bound(g)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = solve_bound(g)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.certified
+        assert kept <= 32 * 1024
 
     def test_engineered_rule_witnesses(self):
         res = solve_bound(build_mop(9, SHARED_CORNER_9))

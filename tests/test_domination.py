@@ -4,6 +4,7 @@ import pytest
 
 from mopdom import (
     CSV_COLUMNS,
+    BadParameter,
     DominationMode,
     Infeasible,
     TooLarge,
@@ -167,8 +168,10 @@ def test_exact_limit_env(monkeypatch):
     with pytest.raises(TooLarge):
         exact_min_two_dom(snake(6))
     monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "not-a-number")
-    assert exact_limit() == 22
-    assert exact_min_double_dom(snake(6))[0] == 3
+    with pytest.raises(BadParameter):
+        exact_limit()
+    with pytest.raises(BadParameter):
+        exact_min_double_dom(snake(6))
 
 
 def test_witnesses_are_sorted_valid_and_lex_min():

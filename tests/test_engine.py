@@ -1,0 +1,206 @@
+"""The in-place engine against the rebuild-per-level oracles.
+
+At every level of every graph checked, the engine's graph relabelled by rank
+must equal ``apply_rule``'s, its leaf walks must equal a full rebuild's, and
+its bad-vertex count must equal ``bad_vertices``.  At every lift, the local
+lift check must give the verdict ``certify`` gives on that level's graph,
+also when one window vertex is dropped from the lifted set or added to it.  A property test
+holds the local MOP-validity check to ``reduce_graph``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mopdom import (
+    BranchShape,
+    ResultNotMaximalOuterplanar,
+    apply_rule,
+    bad_vertices,
+    base_case_solve,
+    build_dual_tree,
+    certify,
+    enumerate_all,
+    match_branch_shape,
+    random_mop,
+    reduce_graph,
+)
+from mopdom import constructive as c
+
+# The fixed random set of tests/test_golden.py.
+RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
+
+
+def _in_ids(res, key, ids):
+    if isinstance(res, BranchShape):
+        labels = [(r, ids[v]) for r, v in res.labels.items()]
+        return ("shape", key(res.leaf), key(res.anchor), res.dist, labels)
+    labels = [(r, ids[v]) for r, v in res.witness_labels.items()]
+    return ("deviation", key(res.leaf), res.claim, res.variant, labels)
+
+
+def rebuilt_walks(g, ids):
+    """The leaf walks of a full rebuild of g, in vertex ids."""
+    t = build_dual_tree(g)
+
+    def key(i):
+        return tuple(ids[v] for v in t.vertices(i))
+
+    return {key(leaf): _in_ids(match_branch_shape(g, t, leaf), key, ids) for leaf in t.leaves()}
+
+
+def engine_walks(r):
+    same = lambda x: x  # noqa: E731 - engine results are in vertex ids already
+    return {leaf: _in_ids(res, same, range(len(r.adjacency))) for leaf, res in r.walks.items()}
+
+
+def check_level(r):
+    g, ids = r.level_graph()
+    assert r.n == g.n
+    assert r.k == bad_vertices(g).k
+    if g.n > c.BASE_MAX_N:
+        assert engine_walks(r) == rebuilt_walks(g, ids)
+    return g, ids
+
+
+def check_every_level(g):
+    r = c._Reducer(g, bad_vertices(g).k)
+    levels = []
+    cur, ids = check_level(r)
+    while r.n > c.BASE_MAX_N:
+        step = c._next_step(r, permissive=False)
+        if not isinstance(step, c._Level):
+            _, s = step
+            break
+        rank = {v: i for i, v in enumerate(ids)}
+        assert step.ranks == [rank[v] for v in step.labels.values()]
+        ref, _ = apply_rule(cur, step.rule, {role: rank[v] for role, v in step.labels.items()})
+        after, after_ids = check_level(r)
+        assert after == ref
+        # The lift is checked at every vertex the reduction gave a neighbour.
+        after_rank = {v: i for i, v in enumerate(after_ids)}
+        grew = {
+            v
+            for v in after_ids
+            if not {after_ids[j] for j in after.adjacency[after_rank[v]]}
+            <= {ids[j] for j in cur.adjacency[rank[v]]}
+        }
+        assert step.deleted | step.addback | grew <= step.window
+        levels.append((step, cur, ids, after, after_ids))
+        cur, ids = after, after_ids
+    else:
+        s = {ids[i] for i in base_case_solve(cur)}
+
+    for step, cur, ids, after, after_ids in reversed(levels):
+        r.undo(step.deleted, step.gained)
+        assert all(r.adjacency[v] == {ids[j] for j in cur.adjacency[i]} for i, v in enumerate(ids))
+        sub = set(s)
+        assert all(step.labels[x] in sub for x in step.rule.required)
+        s = sub | step.addback
+        window = step.window
+        rank = {v: i for i, v in enumerate(ids)}
+        after_rank = {v: i for i, v in enumerate(after_ids)}
+
+        def local(sol):
+            return not r.lift_failures(window, sol, step.n, step.k)
+
+        def full(sol):
+            return certify(cur, [rank[v] for v in sol]).certified
+
+        assert local(s) and full(s)
+        # One window vertex dropped or added, while the reduced graph's part
+        # of the set stays certified there (the check's precondition).
+        for w in sorted(window):
+            reduced = sub ^ ({w} & set(after_ids))
+            if certify(after, [after_rank[v] for v in reduced]).certified:
+                assert local(s ^ {w}) == full(s ^ {w}), (step.rule.rule_id, w)
+    return len(levels)
+
+
+def test_every_level_of_the_band_matches_the_oracles():
+    levels = sum(check_every_level(g) for n in range(9, 12) for g in enumerate_all(n))
+    assert levels > 6721
+
+
+def test_every_level_of_the_random_set_matches_the_oracles():
+    levels = sum(check_every_level(random_mop(n, seed)) for n, seed in RANDOM_CASES)
+    assert levels > 500
+
+
+# --- local MOP validity against reduce_graph ------------------------------------
+
+
+@st.composite
+def reductions(draw):
+    n = draw(st.integers(5, 16))
+    g = random_mop(n, draw(st.integers(0, 2**32)))
+    v = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["any", "run", "degree2"]))
+    if kind == "run":
+        start, length = draw(v), draw(st.integers(1, n - 3))
+        delete = {(start + i) % n for i in range(length)}
+        ends = [((start - 1) % n, (start + length) % n)]
+    elif kind == "degree2":
+        delete = set(draw(st.sets(st.sampled_from(g.degree2_vertices()), min_size=1)))
+        ends = []
+    else:
+        delete = draw(st.sets(v, min_size=1, max_size=n))
+        ends = []
+    chords = draw(st.lists(st.tuples(v, v), max_size=2)) + draw(st.sampled_from([[], ends]))
+    return g, sorted(delete), chords
+
+
+@settings(max_examples=600, deadline=None)
+@given(reductions())
+def test_plan_matches_reduce_graph(case):
+    g, delete, chords = case
+    r = c._Reducer(g, bad_vertices(g).k)
+    try:
+        ref, _ = reduce_graph(g, delete, chords)
+    except ResultNotMaximalOuterplanar:
+        ref = None
+    try:
+        dele, gained = r.plan(delete, chords)
+    except ResultNotMaximalOuterplanar:
+        assert ref is None
+        return
+    assert ref is not None
+    if ref.n < 4:
+        return  # the engine skips such candidates before editing
+    before = [set(x) for x in r.adjacency]
+    r.apply(dele, gained)
+    got, ids = r.level_graph()
+    assert got == ref
+    assert r.k == bad_vertices(ref).k
+    if ref.n > c.BASE_MAX_N:
+        assert engine_walks(r) == rebuilt_walks(ref, ids)
+    r.undo(dele, gained)
+    assert r.adjacency == before
+
+
+def test_plan_rejects_crossing_chords():
+    # Deleting a degree-4 vertex leaves a quadrilateral face next to the new
+    # cycle edge; one added chord closes the count, and it is valid only if
+    # it crosses nothing.
+    crossing = 0
+    for g in enumerate_all(8):
+        r = c._Reducer(g, bad_vertices(g).k)
+        for v in (v for v in range(8) if len(g.adjacency[v]) == 4):
+            for x in range(8):
+                for y in range(x + 1, 8):
+                    if v in (x, y) or y in g.adjacency[x]:
+                        continue
+                    try:
+                        reduce_graph(g, [v], [(x, y)])
+                        valid = True
+                    except ResultNotMaximalOuterplanar as exc:
+                        valid = False
+                        crossing += "cross" in str(exc)
+                    if valid:
+                        r.plan([v], [(x, y)])
+                    else:
+                        with pytest.raises(ResultNotMaximalOuterplanar):
+                            r.plan([v], [(x, y)])
+    assert crossing > 100

@@ -16,9 +16,12 @@ from mopdom import enumerate_all, random_mop, solve_bound
 
 BAND_DIGEST = "79d3f5980035c4bdd4016e41863df931d567488cf94b732adc1cd04eecef9a75"
 RANDOM_DIGEST = "a198a17236e4a1bb41e4f68bd8937e9ac3b1f58acce5caf39a64e6c8297e951e"
+LARGE_DIGEST = "ae828b4037045059aea3945e09175bce70337c01dd99cc70ae6e19dd395e6f43"
 
 # 20 fixed (n, seed) pairs with n spread over 20..150.
 RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
+# 6 larger graphs, where a reduction can invalidate leaf walks far from it.
+LARGE_CASES = [(200, 2000), (300, 2001), (400, 2002), (500, 2003), (650, 2004), (800, 2005)]
 
 
 def _digest(graphs) -> str:
@@ -38,6 +41,10 @@ def random_digest() -> str:
     return _digest(random_mop(n, seed) for n, seed in RANDOM_CASES)
 
 
+def large_digest() -> str:
+    return _digest(random_mop(n, seed) for n, seed in LARGE_CASES)
+
+
 def test_exhaustive_band_output_unchanged():
     assert band_digest() == BAND_DIGEST
 
@@ -46,6 +53,11 @@ def test_random_output_unchanged():
     assert random_digest() == RANDOM_DIGEST
 
 
+def test_large_output_unchanged():
+    assert large_digest() == LARGE_DIGEST
+
+
 if __name__ == "__main__":
     print("BAND_DIGEST =", repr(band_digest()))
     print("RANDOM_DIGEST =", repr(random_digest()))
+    print("LARGE_DIGEST =", repr(large_digest()))
