@@ -22,7 +22,6 @@ from .domination import (
     bound_report,
     csv_header,
     exact_min_double_dom,
-    exact_min_two_dom,
     is_double_dominating,
     to_csv_row,
 )
@@ -110,13 +109,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
+    # 2-domination is literal double domination under another name.
+    mode = DominationMode.literal if args.mode == "twodom" else DominationMode(args.mode)
     for g in _read_graphs(args.input):
-        if args.mode == "twodom":
-            size, witness = exact_min_two_dom(g)
-        else:
-            size, witness = exact_min_double_dom(
-                g, DominationMode(args.mode), forbid_deg2=args.forbid_deg2
-            )
+        size, witness = exact_min_double_dom(g, mode, forbid_deg2=args.forbid_deg2)
         _emit({"n": g.n, "mode": args.mode, "size": size, "witness": list(witness)})
     return 0
 
@@ -318,7 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     exact = sub.add_parser("exact", help="exact minimum double/2-domination")
     exact.add_argument("input", nargs="?", default="-")
     exact.add_argument(
-        "--mode", choices=["literal", "standard", "twodom"], default="literal"
+        "--mode",
+        choices=["literal", "standard", "twodom"],
+        default="literal",
+        help="twodom is literal under its 2-domination name",
     )
     exact.add_argument(
         "--forbid-deg2", action="store_true", help="exclude degree-2 vertices from S"

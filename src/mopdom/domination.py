@@ -7,11 +7,12 @@ Two flavours of "every vertex is watched twice" are supported:
   S coincide, so this is exactly 2-domination.
 * ``standard`` — every vertex, member or not, satisfies |N[v] & S| >= 2.
 
-The exact solver is a branch-and-bound over include/exclude decisions with
-unit propagation (a vertex that can no longer collect two supporters is
-forced into S; a tight constraint forces its undecided neighbours in) and a
-counting lower bound.  Witnesses are the lexicographically smallest minimum
-solutions, so independently written oracles can compare sets, not just sizes.
+The exact solver is a dynamic program that splits the polygon at the apex of
+each base edge: one pass over the n - 2 triangles with tables of fixed size,
+without recursion, for both modes and with degree-2 vertices forbidden or
+not.  Witnesses are the lexicographically smallest minimum solutions, so
+independently written oracles can compare sets, not just sizes.  The size
+limit MOPDOM_EXACT_LIMIT (default 22) stays in force for now.
 
 ``bad_vertices`` reports the degree-2 vertices in clockwise order together
 with the clockwise outer-cycle gap to the next degree-2 vertex; a vertex with
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BadParameter, Infeasible, TooLarge, TooSmall
 from .graph_core import MopGraph
@@ -113,198 +114,143 @@ def bad_vertices(g: MopGraph) -> BadVertexReport:
 
 
 # --- exact solver ---------------------------------------------------------------
+#
+# A dynamic program over the apex split of the polygon.  A base edge (lo, hi)
+# with hi - lo >= 2 has one apex c strictly between its ends and adjacent to
+# both, which splits it into the sides (lo, c) and (c, hi); an outer-cycle
+# edge (v, v + 1) is a leaf.  No vertex of the interior lo+1..hi-1 has a
+# neighbour outside [lo, hi], so each side keeps one table: from the states
+# of its two ends to the best choice of its interior, every interior vertex
+# already satisfied.  The apex's count becomes final where its sides meet.
+#
+# An end outside S has state 0, 1 or 2: its supporters inside the side,
+# capped at 2.  An end in S has state _IN.  Standard mode also asks a member
+# for one supporter, and state _IN + 1 is a member that has it.  Once every
+# supporter is counted, a vertex is satisfied in state 2 or the top state.
+#
+# A choice is scored by one integer, (size << n) - bits, where bit n-1-v
+# stands for vertex v.  The smallest score is a minimum set and, among those,
+# the lexicographically smallest as a sorted tuple.  Sides have disjoint
+# label ranges as interiors, so their scores add.
 
-_UNDEC, _IN, _OUT = 0, 1, 2
-
-
-class _State:
-    __slots__ = ("status", "cnt", "und", "size")
-
-    def __init__(self, status: list[int], cnt: list[int], und: list[int], size: int):
-        self.status = status
-        self.cnt = cnt
-        self.und = und
-        self.size = size
-
-    def copy(self) -> "_State":
-        return _State(self.status[:], self.cnt[:], self.und[:], self.size)
-
-
-def _assign(state: _State, adj: Sequence[Sequence[int]], v: int, val: int) -> list[int]:
-    """Set an undecided vertex and return vertices needing a recheck."""
-    state.status[v] = val
-    if val == _IN:
-        state.size += 1
-    recheck = [v]
-    for w in adj[v]:
-        state.und[w] -= 1
-        if val == _IN:
-            state.cnt[w] += 1
-        recheck.append(w)
-    return recheck
+_IN = 3
 
 
-def _propagate(
-    state: _State, adj: Sequence[Sequence[int]], standard: bool, work: list[int]
-) -> bool:
-    """Unit propagation; False on a proven dead end.
+class _Rules:
+    """The state machine of one mode.
 
-    Only IN assignments are ever forced, which keeps lexicographic reasoning
-    simple: a forced vertex belongs to every completion of the current
-    prefix."""
-    status, cnt, und = state.status, state.cnt, state.und
-    while work:
-        v = work.pop()
-        st = status[v]
-        if st == _OUT:
-            if cnt[v] >= 2:
-                continue
-            p = cnt[v] + und[v]
-            if p < 2:
-                return False
-            if p == 2:
-                for w in list(adj[v]):
-                    if status[w] == _UNDEC:
-                        work.extend(_assign(state, adj, w, _IN))
-        elif st == _IN:
-            if standard and cnt[v] < 1:
-                p = cnt[v] + und[v]
-                if p < 1:
-                    return False
-                if p == 1:
-                    for w in list(adj[v]):
-                        if status[w] == _UNDEC:
-                            work.extend(_assign(state, adj, w, _IN))
-        else:
-            p = cnt[v] + und[v]
-            if p < 2:
-                if standard and p < 1:
-                    return False
-                work.extend(_assign(state, adj, v, _IN))
-    return True
+    ``inc[e]`` is state e with one more supporter, and ``done[e]`` says
+    whether a vertex whose supporters are all counted is satisfied.
+    ``join[lo_state * states + left_apex][right_apex * states + hi_state]``
+    is ``(lo_state' * states + hi_state', apex in S)`` for the edge the two
+    sides close, or None when their apex states disagree on membership or
+    leave the apex short of supporters.  ``leaf[lo_allowed][hi_allowed]`` is
+    the table of an outer-cycle edge."""
 
+    __slots__ = ("states", "inc", "done", "join", "leaf")
 
-def _unmet_total(state: _State, standard: bool, n: int) -> int:
-    total = 0
-    status, cnt = state.status, state.cnt
-    for v in range(n):
-        st = status[v]
-        if st == _OUT:
-            if cnt[v] < 2:
-                total += 2 - cnt[v]
-        elif st == _IN and standard and cnt[v] < 1:
-            total += 1
-    return total
+    def __init__(self, standard: bool) -> None:
+        top = _IN + standard
+        states = top + 1
+        inc = (1, 2, 2) + tuple(min(e + 1, top) for e in range(_IN, states))
+        done = tuple(e == 2 or e == top for e in range(states))
+        join = []
+        for a in range(states):
+            for p in range(states):
+                row: list[tuple[int, bool] | None] = [None] * (states * states)
+                xc = p >= _IN
+                for q in range(states):
+                    if (q >= _IN) != xc:
+                        continue
+                    for b in range(states):
+                        e = min(p + q - _IN, top) if xc else min(p + q, 2)
+                        e = inc[e] if a >= _IN else e
+                        e = inc[e] if b >= _IN else e
+                        if done[e]:
+                            na, nb = (inc[a], inc[b]) if xc else (a, b)
+                            row[q * states + b] = (na * states + nb, xc)
+                join.append(row)
+        choice = ((0,), (0, _IN))
+        self.states = states
+        self.inc = inc
+        self.done = done
+        self.join = join
+        self.leaf = [
+            [{a * states + b: 0 for a in choice[lo] for b in choice[hi]} for hi in (0, 1)]
+            for lo in (0, 1)
+        ]
 
 
-def _initial_state(
-    n: int, adj: Sequence[Sequence[int]], standard: bool, forced_out: Iterable[int]
-) -> _State | None:
-    state = _State([_UNDEC] * n, [0] * n, [len(adj[v]) for v in range(n)], 0)
-    work: list[int] = []
-    for v in forced_out:
-        state.status[v] = _OUT
-        work.append(v)
-        for w in adj[v]:
-            state.und[w] -= 1
-            work.append(w)
-    work.extend(range(n))
-    if not _propagate(state, adj, standard, work):
-        return None
-    return state
+_RULES = (_Rules(standard=False), _Rules(standard=True))
 
 
 def _solve_exact(
     g: MopGraph, *, standard: bool, forbid_deg2: bool
 ) -> tuple[int, tuple[int, ...]]:
+    """(size, lex-min witness) by the dynamic program above, with no size
+    limit.  Reads ``g.chords`` and, when they are forbidden, the degree-2
+    vertices; it fills no adjacency cache on ``g``."""
     n = g.n
-    adj = tuple(tuple(sorted(g.adjacency[v])) for v in range(n))
-    maxd = max(len(a) for a in adj)
-    global_lb = (n + 4) // 3  # ceil((n + 2) / 3), valid for MOPs in both modes
+    rules = _RULES[standard]
+    states, inc, done, join = rules.states, rules.inc, rules.done, rules.join
+    up = [[v + 1] for v in range(n)]  # higher neighbours, ascending
+    for a, b in g.chords:  # sorted, so each list stays ascending
+        up[a].append(b)
+    up[0].append(n - 1)
+    allowed = [True] * n
+    if forbid_deg2:
+        for v in g.degree2_vertices():
+            allowed[v] = False
 
-    forced_out = g.degree2_vertices() if forbid_deg2 else ()
-    seed = [v for v in range(n) if v not in set(forced_out)]
-    if not is_double_dominating(g, seed, DominationMode.standard if standard else DominationMode.literal):
-        seed = list(range(n))
-        assert not forbid_deg2 and is_double_dominating(
-            g, seed, DominationMode.standard if standard else DominationMode.literal
-        ), "V itself must dominate when nothing is forbidden"
+    # Edge (lo, hi) is (lo, j) with hi = up[lo][j]; its apex is up[lo][j - 1],
+    # and the apex's own highest neighbour is hi.
+    order = []
+    stack = [(0, len(up[0]) - 1)]
+    while stack:
+        lo, j = stack.pop()
+        order.append((lo, j))
+        if j:
+            c = up[lo][j - 1]
+            stack.append((lo, j - 1))
+            stack.append((c, len(up[c]) - 1))
 
-    best_size = len(seed)
+    one = 1 << n
+    tables: list[dict[int, int]] = []
+    for lo, j in reversed(order):  # children before parents, left side first
+        if not j:
+            tables.append(rules.leaf[allowed[lo]][allowed[lo + 1]])
+            continue
+        right = tables.pop()
+        left = tables.pop()
+        cost = one - (1 << (n - 1 - up[lo][j - 1]))
+        out: dict[int, int] = {}
+        for lk, ls in left.items():
+            row = join[lk]
+            for rk, rs in right.items():
+                t = row[rk]
+                if t is None:
+                    continue
+                key, xc = t
+                s = ls + rs + cost if xc else ls + rs
+                if s < out.get(key, s + 1):
+                    out[key] = s
+        tables.append(out)
 
-    root = _initial_state(n, adj, standard, forced_out)
-    assert root is not None, "a feasible instance cannot fail root propagation"
-
-    def lower(state: _State) -> int:
-        unmet = _unmet_total(state, standard, n)
-        if unmet == 0:
-            return 0
-        return -(-unmet // (maxd + 1))
-
-    def pick(state: _State) -> int | None:
-        status, cnt = state.status, state.cnt
-        best_v, best_h = None, -1
-        for v in range(n):
-            if status[v] != _UNDEC:
-                continue
-            h = 0
-            for w in adj[v]:
-                st = status[w]
-                if st == _OUT and cnt[w] < 2:
-                    h += 2 - cnt[w]
-                elif st == _UNDEC and cnt[w] < 2:
-                    h += 1
-            if standard and cnt[v] < 1:
-                h += 1
-            if h > best_h:
-                best_v, best_h = v, h
-        return best_v
-
-    # phase 1: optimal size
-    def dfs(state: _State) -> None:
-        nonlocal best_size
-        reachable = max(state.size + lower(state), global_lb)
-        if reachable >= best_size:
-            return
-        v = pick(state)
-        if v is None:
-            assert _unmet_total(state, standard, n) == 0
-            if state.size < best_size:
-                best_size = state.size
-            return
-        inc = state.copy()
-        if _propagate(inc, adj, standard, _assign(inc, adj, v, _IN)):
-            dfs(inc)
-        exc = state.copy()
-        if _propagate(exc, adj, standard, _assign(exc, adj, v, _OUT)):
-            dfs(exc)
-
-    dfs(root.copy())
-
-    # phase 2: lexicographically smallest witness of the optimal size
-    cap = best_size
-
-    def dfs_lex(state: _State) -> tuple[int, ...] | None:
-        if state.size + lower(state) > cap:
-            return None
-        v = next((u for u in range(n) if state.status[u] == _UNDEC), None)
-        if v is None:
-            assert _unmet_total(state, standard, n) == 0
-            return tuple(u for u in range(n) if state.status[u] == _IN)
-        if state.size + 1 <= cap:
-            inc = state.copy()
-            if _propagate(inc, adj, standard, _assign(inc, adj, v, _IN)):
-                found = dfs_lex(inc)
-                if found is not None:
-                    return found
-        exc = state.copy()
-        if _propagate(exc, adj, standard, _assign(exc, adj, v, _OUT)):
-            return dfs_lex(exc)
-        return None
-
-    witness = dfs_lex(root.copy())
-    assert witness is not None and len(witness) == best_size
-    return best_size, witness
+    # The root is the outer-cycle edge (0, n - 1): its ends support each other.
+    best = None
+    for key, s in tables[0].items():
+        a, b = divmod(key, states)
+        ea = inc[a] if b >= _IN else a
+        eb = inc[b] if a >= _IN else b
+        if done[ea] and done[eb]:
+            s += (one - (one >> 1) if a >= _IN else 0) + (one - 1 if b >= _IN else 0)
+            if best is None or s < best:
+                best = s
+    if best is None:
+        raise Infeasible(f"n={n}: no double dominating set avoids the degree-2 vertices")
+    size = -(-best >> n)
+    bits = format((size << n) - best, f"0{n}b")
+    return size, tuple(v for v, bit in enumerate(bits) if bit == "1")
 
 
 def exact_min_double_dom(
@@ -321,68 +267,73 @@ def exact_min_double_dom(
     limit = exact_limit()
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds exact limit {limit}")
-    if forbid_deg2 and g.n == 3:
-        raise Infeasible("n=3 has only degree-2 vertices; forbidding them leaves nothing")
     return _solve_exact(g, standard=(m is DominationMode.standard), forbid_deg2=forbid_deg2)
 
 
 def exact_min_two_dom(g: MopGraph) -> tuple[int, tuple[int, ...]]:
     """Minimum 2-dominating set; coincides with literal double domination."""
-    limit = exact_limit()
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds exact limit {limit}")
-    return _solve_exact(g, standard=False, forbid_deg2=False)
+    return exact_min_double_dom(g, DominationMode.literal)
 
 
 # --- bound reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
+    """Bounds for one graph, with its exact minima unless they were skipped.
+
+    Only n, t, k and the two exact values are stored; the bounds, the flags
+    (exact_literal against each bound) and exact_2dom, which is the literal
+    minimum, follow from them."""
+
     n: int
     t: int
     k: int
-    bound_zhuang_23: float
-    bound_zhuang_nt: float
-    bound_main: float
-    lower_bound: int
     exact_literal: int | None
     exact_standard: int | None
-    exact_2dom: int | None
-    flags: dict[str, bool] | None
+
+    @property
+    def bound_zhuang_23(self) -> float:
+        return 2.0 * self.n / 3.0
+
+    @property
+    def bound_zhuang_nt(self) -> float:
+        return (self.n + self.t) / 2.0
+
+    @property
+    def bound_main(self) -> float:
+        return (self.n + self.k) / 2.0
+
+    @property
+    def lower_bound(self) -> int:
+        return (self.n + 4) // 3
+
+    @property
+    def exact_2dom(self) -> int | None:
+        return self.exact_literal
+
+    @property
+    def flags(self) -> dict[str, bool] | None:
+        lit = self.exact_literal
+        if lit is None:
+            return None
+        return {
+            "ok_zhuang_23": lit <= self.bound_zhuang_23,
+            "ok_zhuang_nt": lit <= self.bound_zhuang_nt,
+            "ok_main": lit <= self.bound_main,
+            "ok_lower": lit >= self.lower_bound,
+        }
 
 
 def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     """All tracked bounds for g, optionally with exact values and per-bound
     flags (exact_literal compared against each bound)."""
     rep = bad_vertices(g)  # raises TooSmall for n=3
-    n = g.n
-    b23 = 2.0 * n / 3.0
-    bnt = (n + rep.t) / 2.0
-    bmain = (n + rep.k) / 2.0
-    lower = (n + 4) // 3
     if not with_exact:
-        return BoundReport(
-            n=n, t=rep.t, k=rep.k,
-            bound_zhuang_23=b23, bound_zhuang_nt=bnt, bound_main=bmain,
-            lower_bound=lower,
-            exact_literal=None, exact_standard=None, exact_2dom=None, flags=None,
-        )
+        return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=None, exact_standard=None)
     lit, _ = exact_min_double_dom(g, DominationMode.literal)
     std, _ = exact_min_double_dom(g, DominationMode.standard)
-    two, _ = exact_min_two_dom(g)
-    flags = {
-        "ok_zhuang_23": lit <= b23,
-        "ok_zhuang_nt": lit <= bnt,
-        "ok_main": lit <= bmain,
-        "ok_lower": lit >= lower,
-    }
-    return BoundReport(
-        n=n, t=rep.t, k=rep.k,
-        bound_zhuang_23=b23, bound_zhuang_nt=bnt, bound_main=bmain,
-        lower_bound=lower,
-        exact_literal=lit, exact_standard=std, exact_2dom=two, flags=flags,
-    )
+    return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=lit, exact_standard=std)
 
 
 CSV_COLUMNS = (
@@ -404,10 +355,12 @@ def to_csv_row(r: BoundReport) -> str:
     def opt(x: int | None) -> str:
         return "" if x is None else str(x)
 
+    flags = r.flags
+
     def flag(name: str) -> str:
-        if r.flags is None:
+        if flags is None:
             return ""
-        return "1" if r.flags[name] else "0"
+        return "1" if flags[name] else "0"
 
     return ",".join(
         [

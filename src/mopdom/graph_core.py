@@ -75,7 +75,12 @@ class MopGraph:
     def degree2_vertices(self) -> tuple[int, ...]:
         """Vertices of degree 2, ascending.  These are exactly the vertices
         that appear in no chord."""
-        return tuple(v for v, nbrs in enumerate(self.adjacency) if len(nbrs) == 2)
+        return self._degree2
+
+    @cached_property
+    def _degree2(self) -> tuple[int, ...]:
+        in_chord = {v for chord in self.chords for v in chord}
+        return tuple(v for v in range(self.n) if v not in in_chord)
 
 
 def _normalize_chord(n: int, pair: Sequence[int]) -> Chord:

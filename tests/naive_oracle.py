@@ -3,8 +3,8 @@
 Everything works from a plain edge list over vertices 0..n-1.  Subsets are
 tried size by size in lexicographic order, so the first hit is both a
 minimum and the lexicographically smallest witness of that size — the same
-tie-break the branch-and-bound solver promises.  Deliberately imports
-nothing from the package under test.
+tie-break the exact solver promises.  Deliberately imports nothing from the
+package under test.
 """
 
 from __future__ import annotations

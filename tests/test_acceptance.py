@@ -176,7 +176,7 @@ def test_criterion_6_exact_solver_vs_naive_scan():
     elapsed = time.time() - t0
     assert compared == 625
     _report(
-        f"criterion 6: PASS - branch-and-bound matches the subset scan on all "
+        f"criterion 6: PASS - exact solver matches the subset scan on all "
         f"{compared} graphs with n <= 9, every mode and flag ({elapsed:.1f}s)"
     )
 

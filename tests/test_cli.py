@@ -150,6 +150,14 @@ def test_exact_modes(capsys, monkeypatch, tmp_path):
     assert obj["witness"] == [1, 2, 4, 5]
 
 
+def test_exact_twodom_honours_forbid_deg2(capsys, monkeypatch):
+    for mode in ("literal", "twodom"):
+        feed(monkeypatch, to_json(snake(6)))
+        assert run(["exact", "--mode", mode, "--forbid-deg2"]) == 0
+        (obj,) = [json.loads(ln) for ln in lines(capsys)]
+        assert obj == {"n": 6, "mode": mode, "size": 4, "witness": [1, 2, 4, 5]}
+
+
 def test_malformed_exact_limit_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "abc")
     feed(monkeypatch, to_json(snake(6)))

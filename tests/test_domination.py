@@ -1,4 +1,7 @@
+import gc
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 
@@ -22,7 +25,9 @@ from mopdom import (
     fixture,
     is_double_dominating,
     is_two_dominating,
+    random_mop,
     snake,
+    solve_bound,
     to_csv_row,
 )
 
@@ -182,6 +187,36 @@ def test_witnesses_are_sorted_valid_and_lex_min():
     assert (size, witness) == min_double_dom(10, g.edges())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_mop(400, 0),
+        lambda: random_mop(400, 1),
+        lambda: random_mop(400, 2),
+        lambda: fan(333),
+        lambda: snake(2000),
+    ],
+    ids=["random400-0", "random400-1", "random400-2", "fan333", "snake2000"],
+)
+def test_exact_far_beyond_the_limit_brackets_the_engine(monkeypatch, make):
+    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "100000")
+    recursion_limit = sys.getrecursionlimit()
+    g = make()
+    lit, lit_w = exact_min_double_dom(g, "literal")
+    std, std_w = exact_min_double_dom(g, "standard")
+    fbd, fbd_w = exact_min_double_dom(g, "literal", forbid_deg2=True)
+    for size, witness in ((lit, lit_w), (std, std_w), (fbd, fbd_w)):
+        assert witness == tuple(sorted(set(witness))) and len(witness) == size
+    assert is_double_dominating(g, lit_w, "literal")
+    assert is_double_dominating(g, std_w, "standard")
+    assert is_double_dominating(g, fbd_w, "literal")
+    assert not set(fbd_w) & set(g.degree2_vertices())
+    engine = len(solve_bound(g).solution)
+    assert (g.n + 4) // 3 <= lit <= fbd <= engine <= (g.n + bad_vertices(g).k) / 2
+    assert lit <= std
+    assert sys.getrecursionlimit() == recursion_limit
+
+
 # --- bounds and reports ---------------------------------------------
 
 
@@ -221,3 +256,21 @@ def test_all_bounds_hold_on_a_slice():
     for g in enumerate_all(9, dedup=True):
         r = bound_report(g)
         assert r.flags is not None and all(r.flags.values())
+
+
+def test_bound_reports_retain_little():
+    graphs = [random_mop(18 + i % 5, 5000 + i) for i in range(200)]
+    tracemalloc.start()
+    try:
+        # A full collection also empties the interpreter's free lists, which
+        # would otherwise count memory the reports have already given back.
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [bound_report(g) for g in graphs]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(graphs)
+    assert retained <= 400 * len(graphs), retained / len(graphs)
+    assert not any("adjacency" in vars(g) for g in graphs)
