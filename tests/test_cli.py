@@ -239,6 +239,37 @@ def test_report_json(capsys, monkeypatch):
     assert obj["exact_literal"] == 3 and obj["ok_main"] is True
 
 
+# snake(7) has bounds 14/3 and 4.5, so these pin the `:g` CSV formatting and
+# the JSON float output byte for byte.
+SNAKE7_HEADER = (
+    "n,t,k,bound_zhuang_23,bound_zhuang_nt,bound_main,lower_bound,"
+    "exact_literal,exact_standard,exact_2dom,"
+    "ok_zhuang_23,ok_zhuang_nt,ok_main,ok_lower"
+)
+SNAKE7_REPORTS = {
+    (): [SNAKE7_HEADER, "7,2,2,4.66667,4.5,4.5,3,3,4,3,1,1,1,1"],
+    ("--no-exact",): [SNAKE7_HEADER, "7,2,2,4.66667,4.5,4.5,3,,,,,,,"],
+    ("--format", "json", "--no-exact"): [
+        '{"n": 7, "t": 2, "k": 2, "bound_zhuang_23": 4.666666666666667, '
+        '"bound_zhuang_nt": 4.5, "bound_main": 4.5, "lower_bound": 3, '
+        '"exact_literal": null, "exact_standard": null, "exact_2dom": null}'
+    ],
+    ("--format", "json"): [
+        '{"n": 7, "t": 2, "k": 2, "bound_zhuang_23": 4.666666666666667, '
+        '"bound_zhuang_nt": 4.5, "bound_main": 4.5, "lower_bound": 3, '
+        '"exact_literal": 3, "exact_standard": 4, "exact_2dom": 3, '
+        '"ok_zhuang_23": true, "ok_zhuang_nt": true, "ok_main": true, "ok_lower": true}'
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", list(SNAKE7_REPORTS))
+def test_report_bytes_pinned(capsys, monkeypatch, flags):
+    feed(monkeypatch, to_json(snake(7)))
+    assert run(["report", *flags]) == 0
+    assert capsys.readouterr().out == "\n".join(SNAKE7_REPORTS[flags]) + "\n"
+
+
 # --- stress ---------------------------------------------------------------
 
 
