@@ -56,9 +56,10 @@ def _read_text(path: str) -> str:
         ) from exc
 
 
-def _read_graphs(path: str) -> list[MopGraph]:
+def _parse_graphs(text: str) -> list[MopGraph]:
+    """One graph per non-blank line of NDJSON; ``#`` starts a comment line."""
     graphs = []
-    for line in _read_text(path).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,6 +67,10 @@ def _read_graphs(path: str) -> list[MopGraph]:
     if not graphs:
         raise NotMaximalOuterplanar("input holds no graphs")
     return graphs
+
+
+def _read_graphs(path: str) -> list[MopGraph]:
+    return _parse_graphs(_read_text(path))
 
 
 def _emit(obj: Any) -> None:
@@ -141,20 +146,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(to_csv_row(bound_report(g, with_exact=not args.no_exact)))
     else:
         for g in graphs:
-            r = bound_report(g, with_exact=not args.no_exact)
-            obj: dict[str, Any] = {
-                "n": r.n, "t": r.t, "k": r.k,
-                "bound_zhuang_23": r.bound_zhuang_23,
-                "bound_zhuang_nt": r.bound_zhuang_nt,
-                "bound_main": r.bound_main,
-                "lower_bound": r.lower_bound,
-                "exact_literal": r.exact_literal,
-                "exact_standard": r.exact_standard,
-                "exact_2dom": r.exact_2dom,
-            }
-            if r.flags is not None:
-                obj.update(r.flags)
-            _emit(obj)
+            _emit(bound_report(g, with_exact=not args.no_exact).to_obj())
     return 0
 
 
@@ -187,6 +179,9 @@ def _stress_one(payload: tuple[str, str]) -> dict[str, Any]:
 
 
 def _cmd_stress(args: argparse.Namespace) -> int:
+    if args.n_min < 4:
+        print(f"error: bad --n-min {args.n_min}: the engine needs n >= 4", file=sys.stderr)
+        return 2
     instances: list[tuple[str, str]] = []
     for n in range(args.n_min, args.n_max + 1):
         for i, g in enumerate(enumerate_all(n)):
@@ -252,14 +247,8 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
-    stripped = text.lstrip()
-    graphs: list[MopGraph]
-    if stripped.startswith("{"):
-        graphs = [
-            from_json(line)
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
+    if text.lstrip().startswith("{"):
+        graphs = _parse_graphs(text)
     else:
         g, _ = recognize_mop(parse_edge_list(text))
         graphs = [g]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import BadParameter, Infeasible, TooLarge, TooSmall
 from .graph_core import MopGraph
@@ -78,12 +78,6 @@ def is_double_dominating(
     if m is DominationMode.standard:
         return all(c >= 2 for c in counts)
     return all(c >= 2 for v, c in enumerate(counts) if v not in sset)
-
-
-def is_two_dominating(g: MopGraph, s: Iterable[int]) -> bool:
-    """Every vertex outside S has two neighbours in S (same predicate as the
-    literal double-domination mode)."""
-    return is_double_dominating(g, s, DominationMode.literal)
 
 
 # --- bad vertices ---------------------------------------------------------------
@@ -277,6 +271,16 @@ def exact_min_two_dom(g: MopGraph) -> tuple[int, tuple[int, ...]]:
 
 # --- bound reports ---------------------------------------------------------------
 
+# The columns of a report row: ten values, then four flags that need the
+# exact values.
+CSV_COLUMNS = (
+    "n", "t", "k",
+    "bound_zhuang_23", "bound_zhuang_nt", "bound_main", "lower_bound",
+    "exact_literal", "exact_standard", "exact_2dom",
+    "ok_zhuang_23", "ok_zhuang_nt", "ok_main", "ok_lower",
+)
+_VALUE_COLUMNS = CSV_COLUMNS[:10]
+
 
 @dataclass(frozen=True, slots=True)
 class BoundReport:
@@ -324,6 +328,15 @@ class BoundReport:
             "ok_lower": lit >= self.lower_bound,
         }
 
+    def to_obj(self) -> dict[str, Any]:
+        """The report row keyed by column, without the flags when the exact
+        values were skipped."""
+        obj: dict[str, Any] = {c: getattr(self, c) for c in _VALUE_COLUMNS}
+        flags = self.flags
+        if flags is not None:
+            obj.update(flags)
+        return obj
+
 
 def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     """All tracked bounds for g, optionally with exact values and per-bound
@@ -336,38 +349,20 @@ def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=lit, exact_standard=std)
 
 
-CSV_COLUMNS = (
-    "n", "t", "k",
-    "bound_zhuang_23", "bound_zhuang_nt", "bound_main", "lower_bound",
-    "exact_literal", "exact_standard", "exact_2dom",
-    "ok_zhuang_23", "ok_zhuang_nt", "ok_main", "ok_lower",
-)
-
-
 def csv_header() -> str:
     return ",".join(CSV_COLUMNS)
 
 
-def to_csv_row(r: BoundReport) -> str:
-    def num(x: float) -> str:
+def _csv_cell(x: Any) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
         return f"{x:g}"
+    return str(x)
 
-    def opt(x: int | None) -> str:
-        return "" if x is None else str(x)
 
-    flags = r.flags
-
-    def flag(name: str) -> str:
-        if flags is None:
-            return ""
-        return "1" if flags[name] else "0"
-
-    return ",".join(
-        [
-            str(r.n), str(r.t), str(r.k),
-            num(r.bound_zhuang_23), num(r.bound_zhuang_nt), num(r.bound_main),
-            str(r.lower_bound),
-            opt(r.exact_literal), opt(r.exact_standard), opt(r.exact_2dom),
-            flag("ok_zhuang_23"), flag("ok_zhuang_nt"), flag("ok_main"), flag("ok_lower"),
-        ]
-    )
+def to_csv_row(r: BoundReport) -> str:
+    obj = r.to_obj()
+    return ",".join(_csv_cell(obj.get(c)) for c in CSV_COLUMNS)

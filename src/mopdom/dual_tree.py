@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .errors import (
-    DeviationPresent,
-    NoDegree3Node,
-    NotALeaf,
-    PreconditionTooSmall,
-)
+from .errors import NotALeaf, PreconditionTooSmall
 from .graph_core import MopGraph
 
 EAR = "ear"
@@ -66,14 +61,6 @@ class DualTree:
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(i for i, nbr in enumerate(self.adjacency) if len(nbr) == 1)
-
-
-class PathTree:
-    """Sentinel returned by :func:`nearest_degree3` when the dual tree is a
-    pure path and the walk exhausts it without meeting a degree-3 node."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "PathTree()"
 
 
 def build_dual_tree(g: MopGraph) -> DualTree:
@@ -123,29 +110,6 @@ def dual_to_dot(t: DualTree, name: str = "dual") -> str:
         lines.append(f'  t{i} -- t{j} [label="{chord[0]}-{chord[1]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def nearest_degree3(t: DualTree, leaf: int):
-    """Walk the forced path from ``leaf`` to the first node of degree 3.
-
-    Returns ``(anchor, dist, path)`` where path is the node tuple from the
-    leaf to the anchor inclusive, or a :class:`PathTree` sentinel when the
-    tree is a path (no degree-3 node on the walk).
-    """
-    if t.degree(leaf) != 1:
-        raise NotALeaf(f"dual node {leaf} has degree {t.degree(leaf)}")
-    path = [leaf]
-    prev = -1
-    cur = leaf
-    while True:
-        deg = t.degree(cur)
-        if deg >= 3:
-            return cur, len(path) - 1, tuple(path)
-        options = [x for x in t.adjacency[cur] if x != prev]
-        if not options:
-            return PathTree()
-        prev, cur = cur, options[0]
-        path.append(cur)
 
 
 @dataclass(frozen=True)
@@ -299,38 +263,3 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
     assert {u6, u9} <= f8
     return Deviation(leaf=leaf, claim=6, variant="C6d", witness_labels=dict(base))
 
-
-@dataclass(frozen=True)
-class ReductionSite:
-    """A degree-3 dual node with two clean path branches hanging off it."""
-
-    anchor: int
-    s: BranchShape
-    t: BranchShape
-
-
-def find_reduction_site(g: MopGraph, t: DualTree) -> ReductionSite:
-    """Pick the reduction site used by the two-branch cases.
-
-    All leaf walks must be clean shapes (otherwise DeviationPresent); a
-    degree-3 node collecting at least two of them always exists (a Steiner
-    leaf of the tree of degree-3 nodes).  Branches at the chosen anchor are
-    ordered by (dist, leaf index), so s.dist <= t.dist.
-    """
-    if not any(t.degree(i) == 3 for i in range(len(t.triangles))):
-        raise NoDegree3Node("dual tree is a path")
-    shapes: list[BranchShape] = []
-    for leaf in t.leaves():
-        res = match_branch_shape(g, t, leaf)
-        if isinstance(res, Deviation):
-            raise DeviationPresent(f"leaf {leaf} deviates ({res.variant})")
-        shapes.append(res)
-
-    by_anchor: dict[int, list[BranchShape]] = {}
-    for sh in shapes:
-        by_anchor.setdefault(sh.anchor, []).append(sh)
-    multi = {a: lst for a, lst in by_anchor.items() if len(lst) >= 2}
-    assert multi, "some degree-3 node must anchor two clean branches"
-    anchor = min(multi)
-    pair = sorted(multi[anchor], key=lambda sh: (sh.dist, sh.leaf))[:2]
-    return ReductionSite(anchor=anchor, s=pair[0], t=pair[1])

@@ -56,14 +56,6 @@ class PreconditionTooSmall(MopError):
     """Branch-shape matching requires n >= 9."""
 
 
-class NoDegree3Node(MopError):
-    """The dual tree is a path: no degree-3 node exists."""
-
-
-class DeviationPresent(MopError):
-    """A reduction site was requested but some leaf walk deviates."""
-
-
 # --- domination ---------------------------------------------------------------
 
 class TooSmall(MopError):
@@ -89,10 +81,6 @@ class UnknownFixture(MopError):
 
 
 # --- constructive engine --------------------------------------------------------
-
-class OutOfRange(MopError):
-    """The constructive routine was called outside its n-range."""
-
 
 class BoundViolated(MopError):
     """A certified size bound failed on an input that should satisfy it."""

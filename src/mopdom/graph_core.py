@@ -58,10 +58,6 @@ class MopGraph:
             nbrs[b].add(a)
         return tuple(map(frozenset, nbrs))
 
-    @cached_property
-    def chord_set(self) -> frozenset[Chord]:
-        return frozenset(self.chords)
-
     @property
     def m(self) -> int:
         """Edge count; always 2n - 3."""
@@ -158,33 +154,6 @@ def neighbors(g: MopGraph, v: int) -> VertexSet:
     if not 0 <= v < g.n:
         raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
     return g.adjacency[v]
-
-
-def degree(g: MopGraph, v: int) -> int:
-    return len(neighbors(g, v))
-
-
-def distance(g: MopGraph, u: int, v: int) -> int:
-    """Shortest-path distance between u and v (breadth-first search)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise VertexOutOfRange(f"vertex pair ({u}, {v}) outside 0..{g.n - 1}")
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[int] = []
-        for w in frontier:
-            for x in g.adjacency[w]:
-                if x == v:
-                    return d
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    raise EmptyOrDisconnected(f"no path from {u} to {v}")  # unreachable on a MOP
 
 
 # --- reduction ------------------------------------------------------------------

@@ -297,6 +297,14 @@ def test_stress_rejects_bad_range(capsys):
     assert "bad --random-n-range" in capsys.readouterr().err
 
 
+def test_stress_rejects_n_min_below_four(capsys):
+    # the triangle is outside the engine's domain, not a campaign violation
+    assert run(["stress", "--n-min", "3", "--n-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --n-min 3")
+
+
 def test_stress_strict_writes_no_reports_when_clean(capsys, tmp_path):
     out_dir = tmp_path / "viol"
     assert (

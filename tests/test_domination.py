@@ -24,7 +24,6 @@ from mopdom import (
     fan,
     fixture,
     is_double_dominating,
-    is_two_dominating,
     random_mop,
     snake,
     solve_bound,
@@ -51,13 +50,6 @@ def test_literal_ignores_members_standard_does_not():
     assert not is_double_dominating(g, [0, 1, 3], "standard")
     assert is_double_dominating(g, [0, 1, 2, 3], DominationMode.standard)
     assert not is_double_dominating(g, [0, 1], "literal")
-
-
-def test_two_domination_is_literal_mode():
-    g = snake(7)
-    for r in range(4):
-        for s in itertools.combinations(range(7), r):
-            assert is_two_dominating(g, s) == is_double_dominating(g, s, "literal")
 
 
 def test_predicates_match_naive_oracle():

@@ -9,22 +9,19 @@ from mopdom import (
     SIDE,
     BranchShape,
     Deviation,
-    DeviationPresent,
-    NoDegree3Node,
     NotALeaf,
-    PathTree,
     PreconditionTooSmall,
+    bad_vertices,
     build_dual_tree,
     build_mop,
     dual_to_dot,
     enumerate_all,
-    find_reduction_site,
     fixture,
     match_branch_shape,
-    nearest_degree3,
     random_mop,
     snake,
 )
+from mopdom import constructive as c
 
 
 class DualTreeStructure(unittest.TestCase):
@@ -93,14 +90,11 @@ class WalkToAnchor(unittest.TestCase):
     def test_snake_dual_is_a_path(self):
         t = build_dual_tree(snake(10))
         self.assertEqual(len(t.leaves()), 2)
-        for leaf in t.leaves():
-            self.assertIsInstance(nearest_degree3(t, leaf), PathTree)
+        self.assertEqual(sorted(t.degree(i) for i in range(8)), [1, 1] + [2] * 6)
 
     def test_walk_from_non_leaf_rejected(self):
         t = build_dual_tree(snake(10))
         inner = next(i for i in range(8) if t.degree(i) == 2)
-        with self.assertRaises(NotALeaf):
-            nearest_degree3(t, inner)
         with self.assertRaises(NotALeaf):
             match_branch_shape(snake(10), t, inner)
 
@@ -108,12 +102,10 @@ class WalkToAnchor(unittest.TestCase):
         g = fixture("triforce9")
         t = build_dual_tree(g)
         for leaf in t.leaves():
-            anchor, dist, path = nearest_degree3(t, leaf)
-            self.assertEqual(dist, 2)
-            self.assertEqual(len(path), 3)
-            self.assertEqual(path[0], leaf)
-            self.assertEqual(path[-1], anchor)
-            self.assertEqual(t.degree(anchor), 3)
+            res = match_branch_shape(g, t, leaf)
+            self.assertIsInstance(res, BranchShape)
+            self.assertEqual((res.leaf, res.dist), (leaf, 2))
+            self.assertEqual(t.degree(res.anchor), 3)
 
 
 class ShapeMatching(unittest.TestCase):
@@ -199,25 +191,36 @@ class ShapeMatching(unittest.TestCase):
 
 
 class ReductionSiteSelection(unittest.TestCase):
+    """The engine's site selection: ``_Reducer`` offers the deviating walks
+    and, per anchor, the clean walks that ``_candidates`` pairs up."""
+
+    @staticmethod
+    def reducer(g):
+        return c._Reducer(g, bad_vertices(g).k)
+
+    def first_group(self, g):
+        groups = list(self.reducer(g).site_groups())
+        self.assertTrue(groups)
+        return sorted(groups[0], key=lambda sh: (sh.dist, sh.leaf))
+
     def test_path_tree_has_no_site(self):
-        g = snake(12)
-        with self.assertRaises(NoDegree3Node):
-            find_reduction_site(g, build_dual_tree(g))
+        self.assertEqual(list(self.reducer(snake(12)).site_groups()), [])
 
     def test_deviating_leaf_blocks_site_selection(self):
         g = build_mop(9, [(1, 8), (2, 8), (3, 8), (4, 6), (4, 8), (6, 8)])
-        t = build_dual_tree(g)
-        self.assertTrue(any(t.degree(i) == 3 for i in range(7)))
-        with self.assertRaises(DeviationPresent):
-            find_reduction_site(g, t)
+        r = self.reducer(g)
+        devs = list(r.deviations())
+        self.assertTrue(devs)
+        self.assertTrue(list(r.site_groups()))
+        # a deviation takes precedence over the clean site the tree also has
+        _, labels = next(c._candidates(r.deviations(), r.site_groups()))
+        self.assertEqual(labels, dict(devs[0].witness_labels))
 
     def test_triforce_site(self):
-        g = fixture("triforce9")
-        site = find_reduction_site(g, build_dual_tree(g))
-        self.assertEqual((site.s.dist, site.t.dist), (2, 2))
-        self.assertEqual(site.s.anchor, site.anchor)
-        self.assertEqual(site.t.anchor, site.anchor)
-        self.assertLess(site.s.leaf, site.t.leaf)
+        s, t, *_ = self.first_group(fixture("triforce9"))
+        self.assertEqual((s.dist, t.dist), (2, 2))
+        self.assertEqual(s.anchor, t.anchor)
+        self.assertLess(s.leaf, t.leaf)
 
     def test_branches_ordered_by_distance(self):
         # one short branch, one long: s must take the shorter one
@@ -227,8 +230,8 @@ class ReductionSiteSelection(unittest.TestCase):
              (8, 12), (7, 12), (7, 13), (7, 14), (16, 18), (16, 19), (15, 19),
              (14, 19), (14, 20), (0, 14)],
         )
-        site = find_reduction_site(g, build_dual_tree(g))
-        self.assertEqual((site.s.dist, site.t.dist), (6, 6))
+        s, t, *_ = self.first_group(g)
+        self.assertEqual((s.dist, t.dist), (6, 6))
 
 
 if __name__ == "__main__":
