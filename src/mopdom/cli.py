@@ -14,7 +14,7 @@ import json
 import multiprocessing
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .constructive import solve_bound
 from .domination import (
@@ -26,7 +26,16 @@ from .domination import (
     to_csv_row,
 )
 from .errors import MopError, NotMaximalOuterplanar, UnreadableInput
-from .generators import enumerate_all, fan, fixture, fixture_names, random_mop, snake
+from .generators import (
+    MAX_ENUMERATE_N,
+    catalan,
+    enumerate_all,
+    fan,
+    fixture,
+    fixture_names,
+    random_mop,
+    snake,
+)
 from .graph_core import (
     MopGraph,
     from_json,
@@ -38,6 +47,9 @@ from .graph_core import (
 )
 
 _SEED_MASK = (1 << 64) - 1
+# A --jobs pool holds a few chunks of graphs at a time; capping their size
+# keeps a campaign's memory flat however many graphs it checks.
+_MAX_CHUNK = 256
 
 
 # --- input helpers ---------------------------------------------------------------
@@ -153,9 +165,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # --- stress ---------------------------------------------------------------
 
 
-def _stress_one(payload: tuple[str, str]) -> dict[str, Any]:
-    origin, text = payload
-    g = from_json(text)
+def _stress_one(payload: tuple[str, MopGraph]) -> dict[str, Any]:
+    """Solve one campaign graph.  Only a record that can be a violation (an
+    engine error or a telescope/size soft miss) carries the graph's JSON."""
+    origin, g = payload
     try:
         res = solve_bound(g)
     except Exception as exc:  # noqa: BLE001 - campaign must record, not die
@@ -164,49 +177,76 @@ def _stress_one(payload: tuple[str, str]) -> dict[str, Any]:
             "n": g.n,
             "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
-            "graph": text,
+            "graph": to_json(g),
         }
     assert res.trace is not None
-    return {
+    soft = res.trace.soft_failures()
+    record = {
         "origin": origin,
         "n": g.n,
         "ok": True,
         "size": len(res.solution),
         "k": res.k,
-        "soft": res.trace.soft_failures(),
-        "graph": text,
+        "soft": soft,
     }
+    if soft["telescope"] or soft["size_exact"]:
+        record["graph"] = to_json(g)
+    return record
 
 
-def _cmd_stress(args: argparse.Namespace) -> int:
-    if args.n_min < 4:
-        print(f"error: bad --n-min {args.n_min}: the engine needs n >= 4", file=sys.stderr)
-        return 2
-    instances: list[tuple[str, str]] = []
+def _campaign(args: argparse.Namespace) -> Iterator[tuple[str, MopGraph]]:
+    """The campaign's graphs, drawn one at a time: the exhaustive band, then
+    the random phase from one Philox stream keyed by ``--seed``."""
     for n in range(args.n_min, args.n_max + 1):
         for i, g in enumerate(enumerate_all(n)):
-            instances.append((f"exhaustive/n{n}/{i}", to_json(g)))
+            yield f"exhaustive/n{n}/{i}", g
     if args.random_count:
-        lo, hi = args.random_n_range
-        if lo < 4 or hi < lo:
-            print(f"error: bad --random-n-range {lo},{hi}", file=sys.stderr)
-            return 2
         import numpy as np  # only the random phase needs it
 
+        lo, hi = args.random_n_range
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed & _SEED_MASK)))
         for i in range(args.random_count):
             ni = int(rng.integers(lo, hi + 1))
             seed_i = int(rng.integers(0, 1 << 63))
-            instances.append((f"random/{i}/n{ni}", to_json(random_mop(ni, seed_i))))
+            yield f"random/{i}/n{ni}", random_mop(ni, seed_i)
 
+
+def _campaign_error(args: argparse.Namespace) -> str | None:
+    """Why the campaign cannot run, or None.  Generation is lazy, so every
+    check has to happen here, before the first graph is drawn."""
+    if args.n_min < 4:
+        return f"bad --n-min {args.n_min}: the engine needs n >= 4"
+    if args.n_max > MAX_ENUMERATE_N:
+        return f"bad --n-max {args.n_max}: exhaustive enumeration stops at n = {MAX_ENUMERATE_N}"
+    if args.random_count < 0:
+        return f"bad --random-count {args.random_count}: must be >= 0"
+    lo, hi = args.random_n_range
+    if args.random_count and (lo < 4 or hi < lo):
+        return f"bad --random-n-range {lo},{hi}"
+    if args.n_max < args.n_min and not args.random_count:
+        return (
+            f"empty campaign: --n-min {args.n_min} > --n-max {args.n_max}"
+            " and --random-count 0"
+        )
+    return None
+
+
+def _cmd_stress(args: argparse.Namespace) -> int:
+    error = _campaign_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     per_n: dict[int, dict[str, int]] = {}
     violations: list[dict[str, Any]] = []
     with multiprocessing.Pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
         if pool is None:
-            results = map(_stress_one, instances)
+            results = map(_stress_one, _campaign(args))
         else:
-            chunk = max(1, len(instances) // (args.jobs * 8))
-            results = pool.imap(_stress_one, instances, chunksize=chunk)
+            count = args.random_count + sum(
+                catalan(n - 2) for n in range(args.n_min, args.n_max + 1)
+            )
+            chunk = min(_MAX_CHUNK, max(1, count // (args.jobs * 8)))
+            results = pool.imap(_stress_one, _campaign(args), chunksize=chunk)
         # Aggregate each record as it arrives; only violations are kept.
         for r in results:
             agg = per_n.setdefault(
@@ -230,7 +270,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             f"  soft: telescope={agg['telescope']}"
             f" size_exact={agg['size_exact']} printed_k={agg['printed_k']}"
         )
-    total = len(instances)
+    total = sum(agg["total"] for agg in per_n.values())
     print(f"total: {total - len(violations)}/{total} ok, {len(violations)} violations")
 
     if violations and args.out_dir:

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mopdom import random_mop, snake, to_json
+from mopdom import cli, constructive, random_mop, snake, to_json
 from mopdom.cli import run
 
 
@@ -316,6 +319,106 @@ def test_stress_strict_writes_no_reports_when_clean(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+# With an empty manifest every n >= 9 graph is an engine error, so this
+# campaign writes one report per graph.  The digests were taken from the
+# campaign that serialised every instance to JSON before solving it.
+VIOLATION_ARGV = [
+    "stress", "--n-min", "9", "--n-max", "9", "--random-count", "2", "--seed", "3",
+    "--random-n-range", "10,12",
+]
+VIOLATION_STDOUT_SHA256 = "d91ca6e7c4a1a614ffe4d6ffa1ea1887351e55793d27188b651fd285a70ef96b"
+VIOLATION_REPORTS_SHA256 = "da9a81430b8679db7e92526b71911af48d987b1fc3b13d0197dce00b9250a984"
+
+
+def test_stress_violation_reports_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(constructive, "load_rules", lambda: ({}, {}))
+    out_dir = tmp_path / "viol"
+    assert run([*VIOLATION_ARGV, "--out-dir", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "total: 0/431 ok, 431 violations"
+    assert hashlib.sha256(out.encode()).hexdigest() == VIOLATION_STDOUT_SHA256
+    files = sorted(out_dir.iterdir())
+    assert [f.name for f in files] == [f"violation_{i:04d}.json" for i in range(431)]
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    assert h.hexdigest() == VIOLATION_REPORTS_SHA256
+
+
+def test_stress_streams_graphs_to_the_engine(capsys, monkeypatch):
+    drawn = 0
+    drawn_at_first_solve = []
+    calls = {"from_json": 0, "to_json": 0}
+
+    def counting_enumerate(n, **kw):
+        nonlocal drawn
+        for g in enumerate_all(n, **kw):
+            drawn += 1
+            yield g
+
+    def watching_solve(g, **kw):
+        if not drawn_at_first_solve:
+            drawn_at_first_solve.append(drawn)
+        return solve_bound(g, **kw)
+
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    enumerate_all, solve_bound = cli.enumerate_all, cli.solve_bound
+    monkeypatch.setattr(cli, "enumerate_all", counting_enumerate)
+    monkeypatch.setattr(cli, "solve_bound", watching_solve)
+    monkeypatch.setattr(cli, "from_json", counting("from_json", cli.from_json))
+    monkeypatch.setattr(cli, "to_json", counting("to_json", cli.to_json))
+    assert run(["stress", "--n-min", "7", "--n-max", "8", "--jobs", "1", "--strict"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 174/174 ok, 0 violations"
+    assert drawn == 174
+    assert drawn_at_first_solve == [1]
+    assert calls == {"from_json": 0, "to_json": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n-min", "6", "--n-max", "5"], "error: empty campaign"),
+        (["--n-min", "6", "--n-max", "5", "--random-count", "0"], "error: empty campaign"),
+        (["--random-count", "-1"], "error: bad --random-count -1"),
+        (["--n-min", "6", "--n-max", "5", "--random-count", "-3"], "error: bad --random-count -3"),
+        # checked before the first graph is drawn, so no band is solved first
+        (["--n-min", "9", "--n-max", "17"], "error: bad --n-max 17"),
+        (["--n-max", "17"], "error: bad --n-max 17"),
+        (["--n-max", "5", "--random-count", "1", "--random-n-range", "9,8"],
+         "error: bad --random-n-range 9,8"),
+    ],
+    ids=["empty_band", "empty_band_zero_random", "negative_random_count",
+         "negative_random_count_empty_band", "n_max_17_after_band", "n_max_17",
+         "random_range_before_band"],
+)
+def test_stress_rejects_bad_campaign_before_solving(capsys, monkeypatch, argv, message):
+    def no_engine(g, **kw):
+        raise AssertionError("the engine ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "solve_bound", no_engine)
+    assert run(["stress", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
+def test_stress_random_only_campaign(capsys):
+    # an empty exhaustive band is fine when the random phase checks graphs
+    assert (
+        run(["stress", "--n-min", "5", "--n-max", "4", "--random-count", "3",
+             "--random-n-range", "9,12"])
+        == 0
+    )
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 3/3 ok, 0 violations"
+
+
 # --- convert ---------------------------------------------------------------
 
 
@@ -349,6 +452,39 @@ def test_convert_rejects_non_mop_edges(capsys, monkeypatch):
     feed(monkeypatch, "0 1\n1 2\n")
     assert run(["convert", "--to", "json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- fuzzing the input boundary ------------------------------------------------
+
+_FRAGMENTS = [
+    "{", "}", "[", "]", ",", ":", " ", "\n", '"n"', '"chords"', "0", "1", "2", "3",
+    "5", "-1", "9", "1e3", "2.5", "true", "null", '"a"', "[0, 2]", "[1, 3]",
+    '{"n": 5, "chords": [[0, 2], [0, 3]]}', '{"n": 4, "chords": [[0, 2]]}', "#",
+    "0 1", "1 2", "2 0", "a b", "\t", "\xff", "\u00e9",
+]
+_FUZZ_ARGVS = [
+    ["solve"], ["solve", "--trace"], ["exact"], ["report"], ["verify", "--set", "0,1"],
+    ["convert", "--to", "json"], ["convert", "--to", "dot"],
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map(
+            lambda parts: "".join(parts).encode("utf-8", "surrogatepass")
+        ),
+    )
+)
+def test_fuzzed_input_exits_cleanly(capsys, tmp_path, data):
+    path = tmp_path / "fuzz.in"
+    path.write_bytes(data)
+    for argv in _FUZZ_ARGVS:
+        code = run([*argv, str(path)])
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, data)
+    capsys.readouterr()
 
 
 # --- plumbing ---------------------------------------------------------------

@@ -233,6 +233,18 @@ class ReductionSiteSelection(unittest.TestCase):
         s, t, *_ = self.first_group(g)
         self.assertEqual((s.dist, t.dist), (6, 6))
 
+        # the anchor (2, 4, 8) reads the dist-2 leaf (0, 1, 8) before the
+        # dist-1 leaf (2, 3, 4); _candidates must still pair the dist-1 leaf
+        # as s, which only the 1-2 rules match
+        g = build_mop(9, [(1, 8), (2, 4), (2, 8), (4, 6), (4, 8), (6, 8)])
+        r = self.reducer(g)
+        self.assertEqual([sh.leaf for sh in next(iter(r.site_groups()))], [(0, 1, 8), (2, 3, 4)])
+        rule, labels = next(c._candidates(r.deviations(), r.site_groups()))
+        _, sites = c.load_rules()
+        self.assertIn(rule, sites[(1, 2)])
+        self.assertEqual(rule.rule_id, "case_1_2c")
+        self.assertEqual(labels["u1"], 3)
+
 
 if __name__ == "__main__":
     unittest.main()
