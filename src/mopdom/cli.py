@@ -28,6 +28,7 @@ from .domination import (
 from .errors import MopError, NotMaximalOuterplanar, UnreadableInput
 from .generators import (
     MAX_ENUMERATE_N,
+    Philox,
     catalan,
     enumerate_all,
     fan,
@@ -46,7 +47,6 @@ from .graph_core import (
     to_json,
 )
 
-_SEED_MASK = (1 << 64) - 1
 # A --jobs pool holds a few chunks of graphs at a time; capping their size
 # keeps a campaign's memory flat however many graphs it checks.
 _MAX_CHUNK = 256
@@ -201,13 +201,11 @@ def _campaign(args: argparse.Namespace) -> Iterator[tuple[str, MopGraph]]:
         for i, g in enumerate(enumerate_all(n)):
             yield f"exhaustive/n{n}/{i}", g
     if args.random_count:
-        import numpy as np  # only the random phase needs it
-
         lo, hi = args.random_n_range
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed & _SEED_MASK)))
+        rng = Philox(args.seed)
         for i in range(args.random_count):
-            ni = int(rng.integers(lo, hi + 1))
-            seed_i = int(rng.integers(0, 1 << 63))
+            ni = rng.integers(lo, hi + 1)
+            seed_i = rng.integers(0, 1 << 63)
             yield f"random/{i}/n{ni}", random_mop(ni, seed_i)
 
 

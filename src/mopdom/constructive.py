@@ -424,13 +424,11 @@ def _pair_candidate(
 ) -> tuple[ReductionRule, dict[str, int]] | None:
     """Match a pair of clean branches at one anchor to a site rule.
 
-    The shorter branch plays s; at equal distances both orders are tried,
-    since the manifest keeps only one of each symmetric configuration."""
+    The caller passes the shorter branch first (``a.dist <= b.dist``), and
+    it plays s; at equal distances both orders are tried, since the manifest
+    keeps only one of each symmetric configuration."""
     _, sites = load_rules()
-    if a.dist <= b.dist:
-        orders = [(a, b), (b, a)] if a.dist == b.dist else [(a, b)]
-    else:
-        orders = [(b, a)]
+    orders = [(a, b), (b, a)] if a.dist == b.dist else [(a, b)]
     for s, t in orders:
         roles = _shared_roles(s, t)
         if roles is None:

@@ -498,3 +498,29 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_command(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# The random phase's origins and chords, drawn without solving.  An empty
+# band (--n-min above --n-max) leaves only the random phase.  "10,10" draws
+# no n at all; "4,200" interleaves 32-bit n draws with 64-bit seed draws.
+# The digests were taken from the campaign that drew from numpy's Philox.
+@pytest.mark.parametrize(
+    "seed, n_range, digest",
+    [
+        ("0", "10,10", "f561cbbe006ed78a4fbd84183540f7f2bba0bf4fabae944ff38837b19b5c10b7"),
+        ("0", "4,200", "e5d142d0b7cb37b17b026e8c9392d75d6a41f4c42d21874cc2085552782d1322"),
+        ("3", "4,200", "0dab44a8e195f54c6f48dbcf6422d130dde2f12d945569b301cc6aac5ea2a4d2"),
+        ("-5", "14,60", "5d96dc84375b4b24f8920cc2258f2db3eca3f8cbd1d16588691106f7b881e852"),
+        # masked to 64 bits, so the same campaign as --seed 3
+        (str(2**64 + 3), "4,200", "0dab44a8e195f54c6f48dbcf6422d130dde2f12d945569b301cc6aac5ea2a4d2"),
+    ],
+)
+def test_stress_random_phase_pinned(seed, n_range, digest):
+    args = cli._build_parser().parse_args(
+        ["stress", "--n-min", "5", "--n-max", "4", "--random-count", "40",
+         "--random-n-range", n_range, "--seed", seed]
+    )
+    h = hashlib.sha256()
+    for origin, g in cli._campaign(args):
+        h.update(f"{origin}:{g.chords}\n".encode())
+    assert h.hexdigest() == digest
