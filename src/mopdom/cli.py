@@ -25,7 +25,7 @@ from .domination import (
     is_double_dominating,
     to_csv_row,
 )
-from .errors import MopError, NotMaximalOuterplanar, UnreadableInput
+from .errors import BadParameter, MopError, NotMaximalOuterplanar, UnreadableInput
 from .generators import (
     MAX_ENUMERATE_N,
     Philox,
@@ -103,6 +103,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         for g in enumerate_all(args.n, dedup=args.dedup):
             _emit_graph(g)
     else:  # random
+        if args.count < 0:
+            raise BadParameter(f"bad --count {args.count}: must be >= 0")
         for i in range(args.count):
             _emit_graph(random_mop(args.n, args.seed + i))
     return 0

@@ -80,7 +80,6 @@ class ReductionRule:
     direct: tuple[str, ...] = ()
     shared: tuple[str, str] | None = None
     k_printed: Mapping[str, Any] | None = None
-    family: str = ""
 
 
 def _parse_rule(obj: Mapping[str, Any], kind: str) -> ReductionRule:
@@ -89,7 +88,6 @@ def _parse_rule(obj: Mapping[str, Any], kind: str) -> ReductionRule:
             rule_id=str(obj["id"]),
             kind="direct",
             direct=tuple(obj["direct"]),
-            family=str(obj.get("family", "")),
         )
     shared = obj.get("shared")
     return ReductionRule(
@@ -101,7 +99,6 @@ def _parse_rule(obj: Mapping[str, Any], kind: str) -> ReductionRule:
         addback=tuple(obj.get("addback", ())),
         shared=(shared[0], shared[1]) if shared else None,
         k_printed=obj.get("k_printed"),
-        family=str(obj.get("family", "")),
     )
 
 
@@ -127,38 +124,10 @@ def load_rules() -> tuple[
 # --- trace and certification ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
-    rule_id: str
-    n_before: int
-    k_before: int
-    n_after: int
-    k_after: int
-    labels: Mapping[str, int]
-    deleted: tuple[int, ...]
-    added_back: tuple[int, ...]
-    size_after_lift: int
-    telescope_ok: bool
-    size_exact: bool
-    printed_ok: bool | None
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule_id,
-            "n_before": self.n_before,
-            "k_before": self.k_before,
-            "n_after": self.n_after,
-            "k_after": self.k_after,
-            "labels": dict(self.labels),
-            "deleted": list(self.deleted),
-            "added_back": list(self.added_back),
-            "size_after_lift": self.size_after_lift,
-            "telescope_ok": self.telescope_ok,
-            "size_exact": self.size_exact,
-            "printed_ok": self.printed_ok,
-        }
-
-
+_STEP_KEYS = (
+    "rule", "n_before", "k_before", "n_after", "k_after", "labels", "deleted",
+    "added_back", "size_after_lift", "telescope_ok", "size_exact", "printed_ok",
+)
 _PRINTED = (None, False, True)  # printed_ok by its code in the packed log
 _HEAD = 5  # fixed fields of a packed step, before its label values
 
@@ -174,9 +143,8 @@ class ReductionTrace:
     that step's own graph).  The last step is terminal: its ``rules`` entry
     is the rule id (``base_case``, ``exact_fallback`` or a direct rule), and
     it has no labels.  ``n`` is the input's vertex count; n_after, deleted,
-    added_back, telescope_ok and size_exact follow from the rest.
-    :class:`TraceStep` objects are built only when ``steps``, ``to_obj`` or
-    ``to_json`` asks for them."""
+    added_back, telescope_ok and size_exact follow from the rest, and
+    ``to_obj`` spells each step out as a dict."""
 
     n: int
     rules: tuple[ReductionRule | str, ...]
@@ -190,7 +158,8 @@ class ReductionTrace:
             i += _HEAD + len(keys[log[i + 1]])
 
     def _fields(self) -> Iterator[tuple]:
-        """The TraceStep fields of every step, derived from the log."""
+        """The fields of every step, in ``_STEP_KEYS`` order, derived from the
+        log."""
         log, n = self.log, self.n
         heads = list(self._heads())
         for pos, i in enumerate(heads):
@@ -215,10 +184,6 @@ class ReductionTrace:
             n = n2
 
     @property
-    def steps(self) -> tuple[TraceStep, ...]:
-        return tuple(TraceStep(*f) for f in self._fields())
-
-    @property
     def depth(self) -> int:
         """Number of reduction steps (the terminal base/direct step excluded)."""
         return max(sum(1 for _ in self._heads()) - 1, 0)
@@ -239,7 +204,11 @@ class ReductionTrace:
         )
 
     def to_obj(self) -> list[dict[str, Any]]:
-        return [s.to_obj() for s in self.steps]
+        return [
+            {key: list(val) if isinstance(val, tuple) else val
+             for key, val in zip(_STEP_KEYS, fields)}
+            for fields in self._fields()
+        ]
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())

@@ -176,9 +176,6 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
         prev, cur = cur, options[0]
         return cur
 
-    def labels(**kw: int) -> dict[str, int]:
-        return dict(kw)
-
     # t2: shares {u2, u3} with the ear
     t2 = step()
     f2 = tri(t2)
@@ -186,7 +183,7 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
     (u4,) = f2 - f1
     if t.degree(t2) == 3:
         return BranchShape(
-            leaf=leaf, anchor=t2, dist=1, labels=labels(u1=u1, u2=u2, u3=u3, u4=u4)
+            leaf=leaf, anchor=t2, dist=1, labels=dict(u1=u1, u2=u2, u3=u3, u4=u4)
         )
 
     # t3: shares u4 and one of u2/u3; normalize so it is u2
@@ -201,14 +198,14 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
             leaf=leaf,
             anchor=t3,
             dist=2,
-            labels=labels(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5),
+            labels=dict(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5),
         )
 
     # t4: {u4, u5} continues the clean walk, {u2, u5} deviates
     t4 = step()
     f4 = tri(t4)
     (u6,) = f4 - f3
-    base = labels(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
+    base = dict(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
     if {u2, u5} <= f4:
         variant = "C2-1" if t.degree(t4) == 3 else "C3"
         return Deviation(leaf=leaf, claim=int(variant[1]), variant=variant, witness_labels=base)

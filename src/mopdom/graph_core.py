@@ -220,12 +220,12 @@ def recognize_mop(edges: Iterable[Sequence[object]]) -> tuple[MopGraph, dict[obj
     Vertex ids may be any hashable values.  Returns the canonical polygon
     normal form together with the labelling old-id -> canonical label.
 
-    The algorithm peels degree-2 ear vertices down to a triangle, then
-    replays the peel in reverse, inserting each ear only between two
-    *currently adjacent* outer-cycle vertices.  The replay is what rejects
-    impostors that merely have the right edge count and peel order (for
-    example K_{2,3} plus one edge); a final :func:`build_mop` validation
-    backstops the reconstruction.
+    Every triangle of a MOP is a face, so an outer-cycle edge lies in exactly
+    one triangle and a chord in two.  The edges whose ends have exactly one
+    common neighbour are therefore taken as the outer cycle; it must pass
+    through every vertex, and :func:`build_mop` must accept the remaining
+    edges as its chords.  Conversely, a graph that passes is that
+    triangulated polygon, so nothing else needs checking.
     """
     adj: dict[object, set[object]] = {}
     edge_count = 0
@@ -265,56 +265,19 @@ def recognize_mop(edges: Iterable[Sequence[object]]) -> tuple[MopGraph, dict[obj
     if edge_count != 2 * n - 3:
         raise NotMaximalOuterplanar(f"n={n} has {edge_count} edges, expected {2 * n - 3}")
 
-    # peel ears
-    work = {v: set(nb) for v, nb in adj.items()}
-    queue = [v for v in verts if len(work[v]) == 2]
-    peel: list[tuple[object, object, object]] = []
-    removed: set[object] = set()
-    while len(work) > 3 and queue:
-        v = queue.pop()
-        if v in removed or v not in work or len(work[v]) != 2:
-            continue
-        a, b = work[v]
-        if b not in work[a]:
-            continue  # ear neighbours must be adjacent; try another candidate
-        peel.append((v, a, b))
-        removed.add(v)
-        del work[v]
-        for w in (a, b):
-            work[w].discard(v)
-            if len(work[w]) == 2:
-                queue.append(w)
-    if len(work) != 3:
-        raise NotMaximalOuterplanar("peeling degree-2 ears did not reach a triangle")
-    tri = list(work)
-    if not all(y in work[x] for x in tri for y in tri if y != x):
-        raise NotMaximalOuterplanar("peeling residue is not a triangle")
-
-    # replay in reverse on a doubly linked outer cycle
-    nxt = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-    prv = {tri[1]: tri[0], tri[2]: tri[1], tri[0]: tri[2]}
-    for v, a, b in reversed(peel):
-        if nxt[a] == b:
-            lo, hi = a, b
-        elif nxt[b] == a:
-            lo, hi = b, a
-        else:
-            raise NotMaximalOuterplanar(
-                f"ear {v!r} reattaches to non-adjacent outer-cycle vertices"
-            )
-        nxt[lo] = v
-        prv[v] = lo
-        nxt[v] = hi
-        prv[hi] = v
-
-    start = verts[0]
-    order = [start]
-    cur = nxt[start]
-    while cur != start:
+    # the outer cycle: the edges in exactly one triangle
+    outer = {v: [w for w in nb if len(nb & adj[w]) == 1] for v, nb in adj.items()}
+    for v, ws in outer.items():
+        if len(ws) != 2:
+            raise NotMaximalOuterplanar(f"{v!r} has {len(ws)} edges in one triangle, not 2")
+    order = [verts[0]]
+    prev, cur = verts[0], outer[verts[0]][0]
+    while cur != verts[0]:
         order.append(cur)
-        cur = nxt[cur]
+        a, b = outer[cur]
+        prev, cur = cur, b if a == prev else a
     if len(order) != n:
-        raise NotMaximalOuterplanar("reconstructed outer cycle misses vertices")
+        raise NotMaximalOuterplanar("the edges in one triangle form several cycles")
     pos = {v: i for i, v in enumerate(order)}
 
     chords = []

@@ -55,6 +55,17 @@ def test_gen_random_is_seeded(capsys):
     assert got == [to_json(random_mop(8, 5 + i)) for i in range(3)]
 
 
+@pytest.mark.parametrize("count, emitted", [("-1", None), ("0", 0), ("2", 2)])
+def test_gen_random_count_must_not_be_negative(capsys, count, emitted):
+    code = run(["gen", "random", "10", "--count", count])
+    captured = capsys.readouterr()
+    if emitted is None:
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: bad --count {count}: must be >= 0\n"
+    else:
+        assert code == 0 and len(captured.out.splitlines()) == emitted
+
+
 def test_gen_bad_parameter(capsys):
     assert run(["gen", "snake", "3"]) == 2
     assert "error:" in capsys.readouterr().err

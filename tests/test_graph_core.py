@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +209,101 @@ def test_recognize_rejects_wrong_count_and_disconnected():
 def test_recognize_inverts_edge_lists(g: MopGraph):
     canon, _ = recognize_mop(g.edges())
     assert canon.chords == canonical_form(g)[0].chords
+
+
+def _oracle_mop(edges):
+    """The canonical MOP of an edge list by brute force, or None: try every
+    Hamiltonian cycle of the edges and let build_mop judge the other edges."""
+    distinct = {frozenset(e) for e in edges}
+    verts = sorted({v for e in distinct for v in e}, key=repr)
+    n = len(verts)
+    for rest in itertools.permutations(verts[1:]):
+        order = (verts[0], *rest)
+        if any(frozenset((order[i - 1], order[i])) not in distinct for i in range(n)):
+            continue
+        pos = {v: i for i, v in enumerate(order)}
+        cycle = {frozenset((order[i - 1], order[i])) for i in range(n)}
+        chords = [sorted(pos[v] for v in e) for e in distinct - cycle]
+        try:
+            return canonical_form(build_mop(n, chords))[0]
+        except (WrongChordCount, DuplicateOrDegenerateChord, CrossingChords):
+            continue
+    return None
+
+
+def _connected(edges) -> bool:
+    reached = {edges[0][0]}
+    while grown := {v for e in edges if reached & set(e) for v in e} - reached:
+        reached |= grown
+    return all(a in reached for a, _ in edges)
+
+
+def _random_edge_set(rng: random.Random) -> list:
+    n = rng.randint(3, 7)
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = rng.randrange(5)
+    if kind == 0:  # a MOP under a random labelling
+        g = random_mop(n, rng.randrange(2**32)) if n > 3 else build_mop(3, [])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        edges = [(perm[a], perm[b]) for a, b in g.edges()]
+    elif kind == 1:  # a MOP with one edge moved elsewhere
+        g = random_mop(max(n, 4), rng.randrange(2**32))
+        edges = g.edges()
+        free = [p for p in itertools.combinations(range(g.n), 2) if p not in edges]
+        edges.remove(rng.choice(edges))
+        edges.append(rng.choice(free))
+    elif kind == 2:  # any 2n - 3 distinct pairs
+        edges = rng.sample(pairs, min(2 * n - 3, len(pairs)))
+    elif kind == 3:  # a count off by one
+        edges = rng.sample(pairs, min(2 * n - 3 + rng.choice((-1, 1)), len(pairs)))
+    else:  # a MOP and a separate edge
+        k = min(n, 5)
+        g = random_mop(k, rng.randrange(2**32)) if k > 3 else build_mop(3, [])
+        edges = g.edges() + [(k, k + 1)]
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    if rng.random() < 0.2:
+        edges += [e[::-1] for e in rng.sample(edges, rng.randint(1, min(3, len(edges))))]
+    if rng.random() < 0.3:
+        edges = [(f"v{a}", f"v{b}") for a, b in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_recognize_agrees_with_brute_force_oracle():
+    rng = random.Random(2024)
+    accepted = 0
+    for _ in range(3000):
+        edges = _random_edge_set(rng)
+        expected = _oracle_mop(edges)
+        if expected is None:
+            error = NotMaximalOuterplanar if _connected(edges) else EmptyOrDisconnected
+            with pytest.raises(error):
+                recognize_mop(edges)
+            continue
+        accepted += 1
+        canon, labelling = recognize_mop(edges)
+        assert canon == expected, edges
+        assert {tuple(sorted((labelling[a], labelling[b]))) for a, b in edges} == set(
+            canon.edges()
+        )
+    assert 800 < accepted < 2200  # both verdicts are well exercised
+
+
+def test_recognize_roundtrips_every_small_mop():
+    rng = random.Random(7)
+    for n in range(3, 11):
+        for g in enumerate_all(n):
+            names = [f"id{i}" for i in range(n)]
+            rng.shuffle(names)
+            edges = [(names[a], names[b]) for a, b in g.edges()]
+            rng.shuffle(edges)
+            canon, labelling = recognize_mop(edges)
+            assert canon == canonical_form(g)[0]
+            canon_edges = set(canon.edges())
+            for a, b in edges:
+                x, y = labelling[a], labelling[b]
+                assert (min(x, y), max(x, y)) in canon_edges
 
 
 # --- canonical form ---------------------------------------------
