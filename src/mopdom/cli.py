@@ -187,7 +187,7 @@ def _stress_one(payload: tuple[str, MopGraph]) -> dict[str, Any]:
         "origin": origin,
         "n": g.n,
         "ok": True,
-        "size": len(res.solution),
+        "size": len(res.members),
         "k": res.k,
         "soft": soft,
     }
@@ -218,6 +218,8 @@ def _campaign_error(args: argparse.Namespace) -> str | None:
         return f"bad --n-min {args.n_min}: the engine needs n >= 4"
     if args.n_max > MAX_ENUMERATE_N:
         return f"bad --n-max {args.n_max}: exhaustive enumeration stops at n = {MAX_ENUMERATE_N}"
+    if args.jobs < 1:
+        return f"bad --jobs {args.jobs}: must be >= 1"
     if args.random_count < 0:
         return f"bad --random-count {args.random_count}: must be >= 0"
     lo, hi = args.random_n_range

@@ -40,6 +40,7 @@ from importlib import resources
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .domination import (
+    BadVertexReport,
     DominationMode,
     _solve_exact,
     bad_vertices,
@@ -49,7 +50,8 @@ from .domination import (
 from .dual_tree import (
     BranchShape,
     Deviation,
-    build_dual_tree,
+    build_dual_tree,  # noqa: F401 - not called here; the benchmark traces this binding
+    fan_triangles,
     match_branch_shape,
 )
 from .errors import (
@@ -189,12 +191,23 @@ class ReductionTrace:
         return max(sum(1 for _ in self._heads()) - 1, 0)
 
     def soft_failures(self) -> dict[str, int]:
-        counts = {"telescope": 0, "size_exact": 0, "printed_k": 0}
-        for *_, telescope_ok, size_exact, printed_ok in self._fields():
-            counts["telescope"] += not telescope_ok
-            counts["size_exact"] += not size_exact
-            counts["printed_k"] += printed_ok is False
-        return counts
+        """How many steps fail each soft check of ``to_obj``, counted from
+        the log without spelling the steps out."""
+        log, rules, keys = self.log, self.rules, self.keys
+        heads = list(self._heads())
+        telescope = size_exact = printed_k = 0
+        for i, nxt in zip(heads, heads[1:]):  # a terminal step fails none
+            rule = rules[log[i]]
+            if isinstance(rule, str):
+                continue
+            at, base = keys[log[i + 1]].index, i + _HEAD  # a role's label is log[base + at(role)]
+            deleted = len({log[base + at(r)] for r in rule.delete})
+            added = len({log[base + at(r)] for r in rule.addback})
+            k, size, k2, size2 = log[i + 2], log[i + 3], log[nxt + 2], log[nxt + 3]
+            telescope += deleted + (k - k2) < 2 * added
+            size_exact += size != size2 + added
+            printed_k += log[i + 4] == 1  # printed_ok is False
+        return {"telescope": telescope, "size_exact": size_exact, "printed_k": printed_k}
 
     def rule_ids(self) -> tuple[str, ...]:
         rules, log = self.rules, self.log
@@ -217,20 +230,27 @@ class ReductionTrace:
 @dataclass(frozen=True)
 class CertifiedResult:
     graph: MopGraph
-    solution: VertexSet
+    members: tuple[int, ...]  # the solution, ascending
     k: int
     bound: float
     certified: bool
     reasons: tuple[str, ...]
     trace: ReductionTrace | None
 
+    @property
+    def solution(self) -> VertexSet:
+        """The solution as a set, built on each access.  Campaigns and
+        benchmarks keep results in bulk, and a sorted tuple takes about a
+        fifth of the memory of a frozenset."""
+        return frozenset(self.members)
+
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
             "n": self.graph.n,
             "k": self.k,
             "bound": self.bound,
-            "size": len(self.solution),
-            "solution": sorted(self.solution),
+            "size": len(self.members),
+            "solution": list(self.members),
             "certified": self.certified,
         }
         if self.reasons:
@@ -245,22 +265,28 @@ def certify(
 ) -> CertifiedResult:
     """Check a solution against the graph alone, independent of its origin:
     literal double domination, no degree-2 members, size within (n + k)/2."""
-    rep = bad_vertices(g)
-    sol = frozenset(int(v) for v in solution)
+    return _certify(g, solution, bad_vertices(g), trace)
+
+
+def _certify(
+    g: MopGraph, solution: Iterable[int], rep: BadVertexReport, trace: ReductionTrace | None
+) -> CertifiedResult:
+    """:func:`certify` with the bad-vertex report of g already counted."""
+    sol = frozenset(map(int, solution))
     reasons: list[str] = []
     stray = sorted(v for v in sol if not 0 <= v < g.n)
     if stray:
         reasons.append(f"vertices {stray} outside 0..{g.n - 1}")
     elif not is_double_dominating(g, sol, DominationMode.literal):
         reasons.append("not double dominating")
-    deg2_hits = sorted(sol & set(g.degree2_vertices()))
+    deg2_hits = sorted(sol.intersection(rep.deg2))
     if deg2_hits:
         reasons.append(f"contains degree-2 vertices {deg2_hits}")
     if 2 * len(sol) > g.n + rep.k:
         reasons.append(f"size {len(sol)} exceeds (n+k)/2 = {(g.n + rep.k) / 2:g}")
     return CertifiedResult(
         graph=g,
-        solution=sol,
+        members=tuple(sorted(sol)),
         k=rep.k,
         bound=(g.n + rep.k) / 2,
         certified=not reasons,
@@ -479,10 +505,12 @@ class _Reducer:
     walk of every leaf with a reverse index from each triangle to the walks
     that read it, the count k of bad vertices, and a Fenwick tree over the
     surviving vertices that gives each one its label in the current graph
-    (its rank).  ``n`` and ``adjacency`` together with ``vertices``,
-    ``neighbours`` and ``degree`` are the interface that
-    :func:`match_branch_shape` reads, so the walks are classified by the
-    same code as on a :class:`~mopdom.dual_tree.DualTree`.
+    (its rank).  ``n`` together with ``vertices``, ``neighbours`` and
+    ``degree`` is the interface that :func:`match_branch_shape` reads, so
+    the walks are classified by the same code as on a
+    :class:`~mopdom.dual_tree.DualTree`.  Once a reduction leaves at most
+    ``BASE_MAX_N`` vertices, the loop ends, so the dual tree and the walks
+    are no longer kept up to date.
     """
 
     def __init__(self, g: MopGraph, k: int) -> None:
@@ -493,9 +521,14 @@ class _Reducer:
         self.nxt = [*range(1, n), 0]
         self.prv = [n - 1, *range(n - 1)]
         self._fenwick = [i & -i for i in range(n + 1)]  # every vertex present
-        t = build_dual_tree(g)
-        keys = [tri.vertices for tri in t.triangles]
-        self.dual = {key: [keys[j] for j in nbrs] for key, nbrs in zip(keys, t.adjacency)}
+        self._start = 0  # a surviving vertex
+        triangles, edges = fan_triangles(g)
+        dual: dict[Triangle, list[Triangle]] = {t: [] for t in triangles}
+        for i, j, _ in edges:
+            a, b = triangles[i], triangles[j]
+            dual[a].append(b)
+            dual[b].append(a)
+        self.dual = dual
         self.walks: dict[Triangle, BranchShape | Deviation] = {}
         self._read: dict[Triangle, frozenset[Triangle]] = {}  # leaf -> triangles read
         self._readers: dict[Triangle, set[Triangle]] = {}  # triangle -> leaves
@@ -508,18 +541,17 @@ class _Reducer:
                 if len(nbrs) == 1:
                     self._walk(key)
 
-    # -- the walk interface; every triangle read is noted for the reverse index
+    # -- the walk interface.  A walk reads neighbours and degrees only at the
+    # nodes whose vertices it reads, so those are noted for the reverse index.
 
     def vertices(self, node: Triangle) -> Triangle:
         self._reads.append(node)
         return node
 
     def neighbours(self, node: Triangle) -> list[Triangle]:
-        self._reads.append(node)
-        return sorted(self.dual[node])
+        return self.dual[node]
 
     def degree(self, node: Triangle) -> int:
-        self._reads.append(node)
         return len(self.dual[node])
 
     def _walk(self, leaf: Triangle) -> None:
@@ -582,7 +614,7 @@ class _Reducer:
     def level_graph(self) -> tuple[MopGraph, list[int]]:
         """The current graph with its vertices relabelled 0..n-1 by rank,
         and the vertex id behind each label."""
-        start = next(iter(self.dual))[0]
+        start = self._start
         ids = [start]
         v = self.nxt[start]
         while v != start:
@@ -675,17 +707,20 @@ class _Reducer:
                 heads[side] = v
 
     def apply(self, dele: set[int], gained: list[Chord]) -> None:
-        """Carry out a plan: delete, link, re-count k, update the dual tree,
-        and redo the leaf walks that read a removed or re-linked triangle."""
+        """Carry out a plan: delete, link, re-count k and, unless the reduced
+        graph is small enough for the base case, update the dual tree and
+        redo the leaf walks that read a removed or re-linked triangle."""
         adj, nxt, prv, dual = self.adjacency, self.nxt, self.prv, self.dual
+        keep_tree = self.n - len(dele) > BASE_MAX_N
 
         removed: set[Triangle] = set()
-        for v in dele:
-            nb = adj[v]
-            for x in nb:
-                for y in nb & adj[x]:
-                    if x < y:
-                        removed.add(_tri(v, x, y))
+        if keep_tree:
+            for v in dele:
+                nb = adj[v]
+                for x in nb:
+                    for y in nb & adj[x]:
+                        if x < y:
+                            removed.add(_tri(v, x, y))
 
         # Badness of v reads v's degree and that of the vertex two steps on.
         changed = set(dele)
@@ -707,6 +742,9 @@ class _Reducer:
                     adj[x].discard(v)
             p, q = prv[v], nxt[v]
             nxt[p], prv[q] = q, p
+            # When the last deleted vertex is unlinked, the cycle holds only
+            # it and the survivors, so its successor survives.
+            self._start = q
             i = v + 1
             while i < len(fen):
                 fen[i] -= 1
@@ -716,6 +754,8 @@ class _Reducer:
             adj[b].add(a)
         self.n -= len(dele)
         self.k += sum(self._bad(v) for v in recount - dele)
+        if not keep_tree:
+            return
 
         touched: set[Triangle] = set()
         for t in removed:
@@ -739,15 +779,14 @@ class _Reducer:
                         dual[u].append(t)
         touched |= new
 
-        if self.n > BASE_MAX_N:
-            stale: set[Triangle] = set()
-            for t in (*removed, *touched):
-                stale |= self._readers.get(t, set())
-            for leaf in stale:
-                self._unwalk(leaf)
-            for t in stale | touched:
-                if len(dual.get(t, ())) == 1:
-                    self._walk(t)
+        stale: set[Triangle] = set()
+        for t in (*removed, *touched):
+            stale |= self._readers.get(t, set())
+        for leaf in stale:
+            self._unwalk(leaf)
+        for t in stale | touched:
+            if len(dual.get(t, ())) == 1:
+                self._walk(t)
 
     def undo(self, dele: Iterable[int], gained: Iterable[Chord]) -> None:
         """Restore the adjacency from before ``apply(dele, gained)``, once
@@ -954,9 +993,9 @@ def solve_bound(g: MopGraph, *, permissive: bool = False) -> CertifiedResult:
     reduce falls back to the exact solver when it fits under the exact-size
     limit; by default such graphs raise NoRuleApplies or CertificationFailed
     instead, keeping the engine honest."""
-    k = bad_vertices(g).k  # raises TooSmall for n < 4
-    s, trace = _solve(g, k, permissive)
-    result = certify(g, s, trace=trace)
+    rep = bad_vertices(g)  # raises TooSmall for n < 4
+    s, trace = _solve(g, rep.k, permissive)
+    result = _certify(g, s, rep, trace)
     if not result.certified:  # pragma: no cover - every lift is re-checked
         raise CertificationFailed("; ".join(result.reasons))
     return result

@@ -72,12 +72,15 @@ def coverage_counts(g: MopGraph, s: Iterable[int]) -> tuple[int, ...]:
 def is_double_dominating(
     g: MopGraph, s: Iterable[int], mode: DominationMode | str = DominationMode.literal
 ) -> bool:
+    """Whether S double dominates g in the given mode: each vertex v, or in
+    literal mode each vertex outside S, has |N[v] & S| >= 2 (see
+    :func:`coverage_counts`)."""
     m = _as_mode(mode)
     sset = set(s)
-    counts = coverage_counts(g, sset)
+    adj = g.adjacency
     if m is DominationMode.standard:
-        return all(c >= 2 for c in counts)
-    return all(c >= 2 for v, c in enumerate(counts) if v not in sset)
+        return all(len(adj[v] & sset) >= 2 - (v in sset) for v in range(g.n))
+    return all(v in sset or len(adj[v] & sset) >= 2 for v in range(g.n))
 
 
 # --- bad vertices ---------------------------------------------------------------

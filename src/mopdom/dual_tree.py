@@ -48,7 +48,7 @@ class DualTree:
         return tuple(tuple(sorted(x)) for x in nbr)
 
     # The walk interface read by :func:`match_branch_shape`; the constructive
-    # engine's mutable state offers the same four reads.
+    # engine's mutable state offers the same three reads.
 
     def vertices(self, node: int) -> tuple[int, int, int]:
         return self.triangles[node].vertices
@@ -63,8 +63,13 @@ class DualTree:
         return tuple(i for i, nbr in enumerate(self.adjacency) if len(nbr) == 1)
 
 
-def build_dual_tree(g: MopGraph) -> DualTree:
-    """Construct the dual tree from the fan of each vertex, in O(n).
+Vertices3 = tuple[int, int, int]
+DualEdge = tuple[int, int, tuple[int, int]]  # (node, node, shared chord)
+
+
+def fan_triangles(g: MopGraph) -> tuple[list[Vertices3], list[DualEdge]]:
+    """The triangles as sorted vertex triples, and the dual edges, read off
+    the fan of each vertex in O(n).
 
     Taken in ascending order, the neighbours ``w > a`` of a vertex ``a`` fan
     across the polygon, and each consecutive pair ``(b, c)`` closes the
@@ -76,29 +81,45 @@ def build_dual_tree(g: MopGraph) -> DualTree:
     Each vertex's chords are emitted in ascending order, so the edges come
     out sorted by chord."""
     n = g.n
-    fans = [[v + 1] for v in range(n - 1)] + [[]]
+    fans = [[v + 1] for v in range(n - 1)]  # vertex n - 1 has no higher neighbour
     for a, b in g.chords:
         fans[a].append(b)
     fans[0].append(n - 1)
 
-    triangles: list[Triangle] = []
-    edges: list[tuple[int, int, tuple[int, int]]] = []
+    triangles: list[Vertices3] = []
+    edges: list[DualEdge] = []
     outer = [-1] * n  # the triangle beyond the last chord of each fan
     for a, fan in enumerate(fans):
+        b = fan[0]
         for j in range(1, len(fan)):
-            b, c = fan[j - 1], fan[j]
+            c = fan[j]
             i = len(triangles)
             if j > 1:
                 edges.append((i - 1, i, (a, b)))
             if c - b > 1:
                 outer[b] = i
-            cyc = (j == 1) + (c - b == 1) + (a == 0 and c == n - 1)
-            kind = EAR if cyc >= 2 else SIDE if cyc == 1 else INTERNAL
-            triangles.append(Triangle(vertices=(a, b, c), kind=kind))
+            triangles.append((a, b, c))
+            b = c
         if outer[a] >= 0:
-            edges.append((outer[a], len(triangles) - 1, (a, fan[-1])))
+            edges.append((outer[a], len(triangles) - 1, (a, b)))
     assert len(triangles) == n - 2 and len(edges) == n - 3
-    return DualTree(triangles=tuple(triangles), edges=tuple(edges))
+    return triangles, edges
+
+
+def build_dual_tree(g: MopGraph) -> DualTree:
+    """Construct the dual tree from the fan of each vertex, in O(n)
+    (:func:`fan_triangles`).  A side of a triangle ``(a, b, c)`` lies on
+    the outer cycle for each of ``b = a + 1``, ``c = b + 1`` and
+    ``(a, c) = (0, n - 1)`` that holds: two make an ear, one a side
+    triangle, none an internal one."""
+    n = g.n
+    triangles, edges = fan_triangles(g)
+    tris = []
+    for a, b, c in triangles:
+        cyc = (b - a == 1) + (c - b == 1) + (a == 0 and c == n - 1)
+        kind = EAR if cyc >= 2 else SIDE if cyc == 1 else INTERNAL
+        tris.append(Triangle(vertices=(a, b, c), kind=kind))
+    return DualTree(triangles=tuple(tris), edges=tuple(edges))
 
 
 def dual_to_dot(t: DualTree, name: str = "dual") -> str:
@@ -140,10 +161,20 @@ class Deviation:
     witness_labels: Mapping[str, int] = field(hash=False)
 
 
-def _deg2_vertex_of_ear(g: MopGraph, tri: tuple[int, int, int]) -> int:
-    deg2 = [v for v in tri if len(g.adjacency[v]) == 2]
-    assert len(deg2) == 1, f"ear {tri} must contain exactly one degree-2 vertex"
-    return deg2[0]
+def _step(t, prev, cur):
+    """The neighbour of ``cur`` other than ``prev``.  A walk steps only from
+    nodes of degree at most 2, so there is one, and the order in which
+    ``neighbours`` lists them does not matter."""
+    for x in t.neighbours(cur):
+        if x != prev:
+            return x
+    raise AssertionError("walk ran off a path end; impossible for n >= 9 patterns")
+
+
+def _new(f: Vertices3, before: Vertices3) -> int:
+    """The vertex of triangle ``f`` that the adjacent ``before`` lacks."""
+    a, b, c = f
+    return a if a not in before else b if b not in before else c
 
 
 def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
@@ -153,110 +184,100 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
     :class:`Deviation`.  Requires n >= 9 so that walk positions 2..6 cannot
     run off the far end of a path tree.
 
-    Only ``g.n``, ``g.adjacency`` and the tree's ``vertices``,
-    ``neighbours`` and ``degree`` are read, so any object offering those
-    can stand in for the graph and its dual tree.
+    Only ``g.n`` and the tree's ``vertices``, ``neighbours`` and ``degree``
+    are read, so any object offering those can stand in for the graph and
+    its dual tree.  ``vertices`` is read exactly at the nodes of the walk,
+    and ``neighbours`` and ``degree`` only there too.
     """
     if g.n < 9:
         raise PreconditionTooSmall(f"branch matching needs n >= 9, got {g.n}")
     if t.degree(leaf) != 1:
         raise NotALeaf(f"dual node {leaf} has degree {t.degree(leaf)}")
 
-    tri = lambda i: set(t.vertices(i))
-    f1 = tri(leaf)
-    u1 = _deg2_vertex_of_ear(g, t.vertices(leaf))
-    u2, u3 = sorted(f1 - {u1})
-
-    cur, prev = leaf, None
-
-    def step() -> int:
-        nonlocal cur, prev
-        options = [x for x in t.neighbours(cur) if x != prev]
-        assert options, "walk ran off a path end; impossible for n >= 9 patterns"
-        prev, cur = cur, options[0]
-        return cur
-
-    # t2: shares {u2, u3} with the ear
-    t2 = step()
-    f2 = tri(t2)
-    assert {u2, u3} <= f2
-    (u4,) = f2 - f1
+    # t2 shares the chord {u2, u3} of the ear; u1, the ear's tip, is off it
+    # and is the ear's one degree-2 vertex.
+    f1 = t.vertices(leaf)
+    t2 = _step(t, None, leaf)
+    f2 = t.vertices(t2)
+    a, b, c = f1
+    if a not in f2:
+        u1, u2, u3 = a, b, c
+    elif b not in f2:
+        u1, u2, u3 = b, a, c
+    else:
+        u1, u2, u3 = c, a, b
+    u4 = _new(f2, f1)
     if t.degree(t2) == 3:
         return BranchShape(
-            leaf=leaf, anchor=t2, dist=1, labels=dict(u1=u1, u2=u2, u3=u3, u4=u4)
+            leaf=leaf, anchor=t2, dist=1, labels={"u1": u1, "u2": u2, "u3": u3, "u4": u4}
         )
 
     # t3: shares u4 and one of u2/u3; normalize so it is u2
-    t3 = step()
-    f3 = tri(t3)
+    t3 = _step(t, leaf, t2)
+    f3 = t.vertices(t3)
     if u3 in f3:
         u2, u3 = u3, u2
-    assert {u2, u4} <= f3
-    (u5,) = f3 - f2
+    assert u2 in f3 and u4 in f3
+    u5 = _new(f3, f2)
     if t.degree(t3) == 3:
         return BranchShape(
             leaf=leaf,
             anchor=t3,
             dist=2,
-            labels=dict(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5),
+            labels={"u1": u1, "u2": u2, "u3": u3, "u4": u4, "u5": u5},
         )
 
     # t4: {u4, u5} continues the clean walk, {u2, u5} deviates
-    t4 = step()
-    f4 = tri(t4)
-    (u6,) = f4 - f3
-    base = dict(u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
-    if {u2, u5} <= f4:
+    t4 = _step(t, t2, t3)
+    f4 = t.vertices(t4)
+    u6 = _new(f4, f3)
+    base = {"u1": u1, "u2": u2, "u3": u3, "u4": u4, "u5": u5, "u6": u6}
+    if u2 in f4 and u5 in f4:
         variant = "C2-1" if t.degree(t4) == 3 else "C3"
         return Deviation(leaf=leaf, claim=int(variant[1]), variant=variant, witness_labels=base)
-    assert {u4, u5} <= f4
+    assert u4 in f4 and u5 in f4
     if t.degree(t4) == 3:
         return Deviation(leaf=leaf, claim=2, variant="C2-2", witness_labels=base)
 
     # t5: {u4, u6} continues, {u5, u6} deviates (claim 4, any degree)
-    t5 = step()
-    f5 = tri(t5)
-    (u7,) = f5 - f4
-    base["u7"] = u7
-    if {u5, u6} <= f5:
-        return Deviation(leaf=leaf, claim=4, variant="C4", witness_labels=dict(base))
-    assert {u4, u6} <= f5
+    t5 = _step(t, t3, t4)
+    f5 = t.vertices(t5)
+    u7 = base["u7"] = _new(f5, f4)
+    if u5 in f5 and u6 in f5:
+        return Deviation(leaf=leaf, claim=4, variant="C4", witness_labels=base)
+    assert u4 in f5 and u6 in f5
     if t.degree(t5) == 3:
-        return BranchShape(leaf=leaf, anchor=t5, dist=4, labels=dict(base))
+        return BranchShape(leaf=leaf, anchor=t5, dist=4, labels=base)
 
     # t6: {u6, u7} continues, {u4, u7} deviates (claim 5b, any degree)
-    t6 = step()
-    f6 = tri(t6)
-    (u8,) = f6 - f5
-    base["u8"] = u8
-    if {u4, u7} <= f6:
-        return Deviation(leaf=leaf, claim=5, variant="C5b", witness_labels=dict(base))
-    assert {u6, u7} <= f6
+    t6 = _step(t, t4, t5)
+    f6 = t.vertices(t6)
+    u8 = base["u8"] = _new(f6, f5)
+    if u4 in f6 and u7 in f6:
+        return Deviation(leaf=leaf, claim=5, variant="C5b", witness_labels=base)
+    assert u6 in f6 and u7 in f6
     if t.degree(t6) == 3:
-        return Deviation(leaf=leaf, claim=5, variant="C5a", witness_labels=dict(base))
+        return Deviation(leaf=leaf, claim=5, variant="C5a", witness_labels=base)
 
     # t7: {u6, u8} continues, {u7, u8} deviates (claim 6a, any degree)
-    t7 = step()
-    f7 = tri(t7)
-    (u9,) = f7 - f6
-    base["u9"] = u9
-    if {u7, u8} <= f7:
-        return Deviation(leaf=leaf, claim=6, variant="C6a", witness_labels=dict(base))
-    assert {u6, u8} <= f7
+    t7 = _step(t, t5, t6)
+    f7 = t.vertices(t7)
+    u9 = base["u9"] = _new(f7, f6)
+    if u7 in f7 and u8 in f7:
+        return Deviation(leaf=leaf, claim=6, variant="C6a", witness_labels=base)
+    assert u6 in f7 and u8 in f7
     d7 = t.degree(t7)
     if d7 == 3:
-        return BranchShape(leaf=leaf, anchor=t7, dist=6, labels=dict(base))
+        return BranchShape(leaf=leaf, anchor=t7, dist=6, labels=base)
     if d7 == 1:
         # the dual tree is a 7-node path, so n = 9 exactly
-        return Deviation(leaf=leaf, claim=6, variant="C6b", witness_labels=dict(base))
+        return Deviation(leaf=leaf, claim=6, variant="C6b", witness_labels=base)
 
     # t8: {u8, u9} -> claim 6c, {u6, u9} -> claim 6d (any degree)
-    t8 = step()
-    f8 = tri(t8)
-    (u10,) = f8 - f7
-    base["u10"] = u10
-    if {u8, u9} <= f8:
-        return Deviation(leaf=leaf, claim=6, variant="C6c", witness_labels=dict(base))
-    assert {u6, u9} <= f8
-    return Deviation(leaf=leaf, claim=6, variant="C6d", witness_labels=dict(base))
-
+    t8 = _step(t, t6, t7)
+    f8 = t.vertices(t8)
+    base["u10"] = _new(f8, f7)
+    if u8 in f8 and u9 in f8:
+        return Deviation(leaf=leaf, claim=6, variant="C6c", witness_labels=base)
+    assert u6 in f8 and u9 in f8
+    return Deviation(leaf=leaf, claim=6, variant="C6d", witness_labels=base)

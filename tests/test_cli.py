@@ -404,10 +404,12 @@ def test_stress_streams_graphs_to_the_engine(capsys, monkeypatch):
         (["--n-max", "17"], "error: bad --n-max 17"),
         (["--n-max", "5", "--random-count", "1", "--random-n-range", "9,8"],
          "error: bad --random-n-range 9,8"),
+        (["--jobs", "0"], "error: bad --jobs 0"),
+        (["--jobs", "-3"], "error: bad --jobs -3"),
     ],
     ids=["empty_band", "empty_band_zero_random", "negative_random_count",
          "negative_random_count_empty_band", "n_max_17_after_band", "n_max_17",
-         "random_range_before_band"],
+         "random_range_before_band", "zero_jobs", "negative_jobs"],
 )
 def test_stress_rejects_bad_campaign_before_solving(capsys, monkeypatch, argv, message):
     def no_engine(g, **kw):

@@ -4,6 +4,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopdom import (
     CSV_COLUMNS,
@@ -41,6 +43,26 @@ def test_coverage_counts():
     assert coverage_counts(g, []) == (0, 0, 0, 0, 0)
     assert coverage_counts(g, [0]) == (1, 1, 1, 1, 1)
     assert coverage_counts(g, [0, 2]) == (2, 2, 2, 2, 1)
+
+
+@st.composite
+def graph_and_subset(draw):
+    g = random_mop(draw(st.integers(4, 60)), draw(st.integers(0, 2**32)))
+    s = draw(st.sets(st.integers(0, g.n - 1)))
+    if draw(st.booleans()):  # large sets too, so both verdicts occur
+        s = set(range(g.n)) - s
+    return g, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_subset())
+def test_predicate_matches_coverage_counts(case):
+    g, s = case
+    counts = coverage_counts(g, s)
+    assert is_double_dominating(g, s, "standard") == all(c >= 2 for c in counts)
+    assert is_double_dominating(g, s, "literal") == all(
+        c >= 2 for v, c in enumerate(counts) if v not in s
+    )
 
 
 def test_literal_ignores_members_standard_does_not():

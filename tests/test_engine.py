@@ -2,7 +2,8 @@
 
 At every level of every graph checked, the engine's graph relabelled by rank
 must equal ``apply_rule``'s, its leaf walks must equal a full rebuild's, and
-its bad-vertex count must equal ``bad_vertices``.  At every lift, the local
+its bad-vertex count must equal ``bad_vertices``.  The dual tree it starts
+from must equal ``build_dual_tree``'s.  At every lift, the local
 lift check must give the verdict ``certify`` gives on that level's graph,
 also when one window vertex is dropped from the lifted set or added to it.  A property test
 holds the local MOP-validity check to ``reduce_graph``.
@@ -54,6 +55,20 @@ def rebuilt_walks(g, ids):
 def engine_walks(r):
     same = lambda x: x  # noqa: E731 - engine results are in vertex ids already
     return {leaf: _in_ids(res, same, range(len(r.adjacency))) for leaf, res in r.walks.items()}
+
+
+def test_engine_dual_tree_matches_build_dual_tree():
+    graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(n, seed) for n, seed in RANDOM_CASES]
+    for g in graphs:
+        t = build_dual_tree(g)
+        want = {
+            t.vertices(i): {t.vertices(j) for j in t.neighbours(i)}
+            for i in range(len(t.triangles))
+        }
+        dual = c._Reducer(g, bad_vertices(g).k).dual
+        assert all(len(set(nbrs)) == len(nbrs) for nbrs in dual.values())
+        assert {key: set(nbrs) for key, nbrs in dual.items()} == want
 
 
 def check_level(r):

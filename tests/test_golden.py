@@ -2,8 +2,10 @@
 witnesses, must stay byte-identical.
 
 The engine digests below were computed from the engine before its per-level
-optimisations, and ``EXACT_DIGEST`` from the branch-and-bound exact solver
-that preceded the dynamic program.  A refactor must leave them unchanged; a
+optimisations, ``EXACT_DIGEST`` from the branch-and-bound exact solver
+that preceded the dynamic program, and ``STRESS_DIGEST`` (the stdout of a
+strict campaign, so its aggregated soft counters) before the engine's
+per-solve set-up was cut.  A refactor must leave them unchanged; a
 change that means to alter solutions, traces or witnesses must say so and
 update them.
 
@@ -12,15 +14,21 @@ update them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 from mopdom import enumerate_all, exact_min_double_dom, random_mop, solve_bound
+from mopdom.cli import run
+
+STRESS_ARGV = ["stress", "--n-min", "9", "--n-max", "12", "--random-count", "300", "--strict"]
 
 BAND_DIGEST = "79d3f5980035c4bdd4016e41863df931d567488cf94b732adc1cd04eecef9a75"
 RANDOM_DIGEST = "a198a17236e4a1bb41e4f68bd8937e9ac3b1f58acce5caf39a64e6c8297e951e"
 LARGE_DIGEST = "ae828b4037045059aea3945e09175bce70337c01dd99cc70ae6e19dd395e6f43"
 EXACT_DIGEST = "5eb295521fdafc16f0d8c5539c7d7511680354d00a92d9521dd33741663f835f"
+STRESS_DIGEST = "faad99c5e4f4fda8b640b755eee1a30a2d6a777bc34f9c07ac21342882566749"
 
 # 20 fixed (n, seed) pairs with n spread over 20..150.
 RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
@@ -65,6 +73,15 @@ def exact_digest() -> str:
     return h.hexdigest()
 
 
+def stress_digest() -> str:
+    """The stdout of ``mopdom stress`` on the n = 9..12 band and 300 random
+    graphs: per-n totals and soft counters."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(STRESS_ARGV)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def test_exhaustive_band_output_unchanged():
     assert band_digest() == BAND_DIGEST
 
@@ -81,8 +98,13 @@ def test_exact_output_unchanged():
     assert exact_digest() == EXACT_DIGEST
 
 
+def test_stress_output_unchanged():
+    assert stress_digest() == STRESS_DIGEST
+
+
 if __name__ == "__main__":
     print("BAND_DIGEST =", repr(band_digest()))
     print("RANDOM_DIGEST =", repr(random_digest()))
     print("LARGE_DIGEST =", repr(large_digest()))
     print("EXACT_DIGEST =", repr(exact_digest()))
+    print("STRESS_DIGEST =", repr(stress_digest()))
