@@ -14,8 +14,8 @@ place, in the vertex ids of the input (:class:`_Reducer`).  Relabelling
 survivors by rank is monotone, so the triangle, leaf and anchor orders and
 the role picks of the leaf walks are the same in fixed ids as in each
 level's own labels, and the same candidate is chosen.  A level costs time in
-proportion to what it changes: only the leaf walks that read a removed or
-re-linked triangle are redone.
+proportion to what it changes: only the leaf walks that start within a few
+hops of a re-linked triangle are redone.
 
 Soundness is enforced locally rather than trusted globally.  A candidate is
 skipped, before anything is edited, if its reduction would not leave a MOP
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -141,12 +142,13 @@ class ReductionTrace:
     ``log`` holds one record per step: the index of its rule in ``rules``,
     the index of its label keys in ``keys``, k before the step, the solution
     size after its lift, its printed-k verdict as an index into
-    ``(None, False, True)``, then its label values (each vertex's label in
-    that step's own graph).  The last step is terminal: its ``rules`` entry
-    is the rule id (``base_case``, ``exact_fallback`` or a direct rule), and
-    it has no labels.  ``n`` is the input's vertex count; n_after, deleted,
-    added_back, telescope_ok and size_exact follow from the rest, and
-    ``to_obj`` spells each step out as a dict."""
+    ``(None, False, True)``, then its label values as vertex ids of the
+    input.  The last step is terminal: its ``rules`` entry is the rule id
+    (``base_case``, ``exact_fallback`` or a direct rule), and it has no
+    labels.  ``n`` is the input's vertex count; each step's labels
+    in its own graph, n_after, deleted, added_back, telescope_ok and
+    size_exact follow from the rest, and ``to_obj`` spells each step out as
+    a dict."""
 
     n: int
     rules: tuple[ReductionRule | str, ...]
@@ -161,9 +163,12 @@ class ReductionTrace:
 
     def _fields(self) -> Iterator[tuple]:
         """The fields of every step, in ``_STEP_KEYS`` order, derived from the
-        log."""
+        log.  A step's label is its vertex id less the number of smaller ids
+        that earlier steps deleted, which is the vertex's rank among the
+        survivors."""
         log, n = self.log, self.n
         heads = list(self._heads())
+        gone: list[int] = []  # ids deleted by earlier steps, ascending
         for pos, i in enumerate(heads):
             rule = self.rules[log[i]]
             k, size = log[i + 2], log[i + 3]
@@ -171,18 +176,22 @@ class ReductionTrace:
                 yield (rule, n, k, n, k, {}, (), (), size, True, True, None)
                 continue
             keys = self.keys[log[i + 1]]
-            labels = dict(zip(keys, log[i + _HEAD : i + _HEAD + len(keys)]))
+            ids = dict(zip(keys, log[i + _HEAD : i + _HEAD + len(keys)]))
+            labels = {r: v - bisect_left(gone, v) for r, v in ids.items()}
             nxt = heads[pos + 1]
             k2, size2 = log[nxt + 2], log[nxt + 3]
             deleted = tuple(sorted(labels[r] for r in rule.delete))
             added_back = tuple(sorted({labels[r] for r in rule.addback}))
-            n2 = n - len(set(deleted))
+            dele = {ids[r] for r in rule.delete}
+            n2 = n - len(dele)
             yield (
                 rule.rule_id, n, k, n2, k2, labels, deleted, added_back, size,
                 (n - n2) + (k - k2) >= 2 * len(added_back),
                 size == size2 + len(added_back),
                 _PRINTED[log[i + 4]],
             )
+            for v in dele:
+                insort(gone, v)
             n = n2
 
     @property
@@ -191,22 +200,12 @@ class ReductionTrace:
         return max(sum(1 for _ in self._heads()) - 1, 0)
 
     def soft_failures(self) -> dict[str, int]:
-        """How many steps fail each soft check of ``to_obj``, counted from
-        the log without spelling the steps out."""
-        log, rules, keys = self.log, self.rules, self.keys
-        heads = list(self._heads())
+        """How many steps fail each soft check of ``to_obj``."""
         telescope = size_exact = printed_k = 0
-        for i, nxt in zip(heads, heads[1:]):  # a terminal step fails none
-            rule = rules[log[i]]
-            if isinstance(rule, str):
-                continue
-            at, base = keys[log[i + 1]].index, i + _HEAD  # a role's label is log[base + at(role)]
-            deleted = len({log[base + at(r)] for r in rule.delete})
-            added = len({log[base + at(r)] for r in rule.addback})
-            k, size, k2, size2 = log[i + 2], log[i + 3], log[nxt + 2], log[nxt + 3]
-            telescope += deleted + (k - k2) < 2 * added
-            size_exact += size != size2 + added
-            printed_k += log[i + 4] == 1  # printed_ok is False
+        for *_, telescope_ok, exact, printed_ok in self._fields():
+            telescope += not telescope_ok
+            size_exact += not exact
+            printed_k += printed_ok is False
         return {"telescope": telescope, "size_exact": size_exact, "printed_k": printed_k}
 
     def rule_ids(self) -> tuple[str, ...]:
@@ -502,12 +501,11 @@ class _Reducer:
 
     It holds the outer cycle as ``nxt``/``prv`` links, the adjacency, the dual
     tree with triangles keyed by their sorted vertex triple, the classified
-    walk of every leaf with a reverse index from each triangle to the walks
-    that read it, the count k of bad vertices, and a Fenwick tree over the
-    surviving vertices that gives each one its label in the current graph
-    (its rank).  ``n`` together with ``vertices``, ``neighbours`` and
-    ``degree`` is the interface that :func:`match_branch_shape` reads, so
-    the walks are classified by the same code as on a
+    walk of every leaf, and the count k of bad vertices.  Labels in each
+    level's own graph are not kept: the trace derives them from the vertex
+    ids.  ``n`` together with ``vertices``, ``neighbours`` and ``degree`` is
+    the interface that :func:`match_branch_shape` reads, so the walks are
+    classified by the same code as on a
     :class:`~mopdom.dual_tree.DualTree`.  Once a reduction leaves at most
     ``BASE_MAX_N`` vertices, the loop ends, so the dual tree and the walks
     are no longer kept up to date.
@@ -520,7 +518,6 @@ class _Reducer:
         self.adjacency = [set(nb) for nb in g.adjacency]
         self.nxt = [*range(1, n), 0]
         self.prv = [n - 1, *range(n - 1)]
-        self._fenwick = [i & -i for i in range(n + 1)]  # every vertex present
         self._start = 0  # a surviving vertex
         triangles, edges = fan_triangles(g)
         dual: dict[Triangle, list[Triangle]] = {t: [] for t in triangles}
@@ -530,22 +527,19 @@ class _Reducer:
             dual[b].append(a)
         self.dual = dual
         self.walks: dict[Triangle, BranchShape | Deviation] = {}
-        self._read: dict[Triangle, frozenset[Triangle]] = {}  # leaf -> triangles read
-        self._readers: dict[Triangle, set[Triangle]] = {}  # triangle -> leaves
         self._deviating: list[Triangle] = []  # lazy heap of deviating leaves
         self._at_anchor: dict[Triangle, set[Triangle]] = {}  # anchor -> clean leaves
         self._anchors: list[Triangle] = []  # lazy heap of anchors with two or more
-        self._reads: list[Triangle] = []
         if n > BASE_MAX_N:
             for key, nbrs in self.dual.items():
                 if len(nbrs) == 1:
                     self._walk(key)
 
-    # -- the walk interface.  A walk reads neighbours and degrees only at the
-    # nodes whose vertices it reads, so those are noted for the reverse index.
+    # -- the walk interface.  A walk reads degrees and neighbours at its first
+    # 7 triangles at most, and the 8th only for its vertices, which never
+    # change; ``apply`` relies on that to find the walks it must redo.
 
     def vertices(self, node: Triangle) -> Triangle:
-        self._reads.append(node)
         return node
 
     def neighbours(self, node: Triangle) -> list[Triangle]:
@@ -555,13 +549,7 @@ class _Reducer:
         return len(self.dual[node])
 
     def _walk(self, leaf: Triangle) -> None:
-        self._reads = []
-        res = match_branch_shape(self, self, leaf)
-        read = frozenset(self._reads)
-        self.walks[leaf] = res
-        self._read[leaf] = read
-        for node in read:
-            self._readers.setdefault(node, set()).add(leaf)
+        res = self.walks[leaf] = match_branch_shape(self, self, leaf)
         if isinstance(res, Deviation):
             heappush(self._deviating, leaf)
         else:
@@ -570,16 +558,11 @@ class _Reducer:
             if len(group) == 2:
                 heappush(self._anchors, res.anchor)
 
-    def _unwalk(self, leaf: Triangle) -> None:
-        res = self.walks.pop(leaf)
-        for node in self._read.pop(leaf):
-            readers = self._readers[node]
-            readers.discard(leaf)
-            if not readers:
-                del self._readers[node]
+    def _unwalk(self, node: Triangle) -> None:
+        res = self.walks.pop(node, None)
         if isinstance(res, BranchShape):
             group = self._at_anchor[res.anchor]
-            group.discard(leaf)
+            group.discard(node)
             if not group:
                 del self._at_anchor[res.anchor]
 
@@ -595,15 +578,7 @@ class _Reducer:
         for anchor in _ascending(self._anchors, lambda a: len(at.get(a, ())) >= 2):
             yield [walks[leaf] for leaf in at[anchor]]
 
-    # -- labels and counts
-
-    def rank(self, v: int) -> int:
-        """The label of surviving vertex v in the current graph."""
-        fen, r = self._fenwick, 0
-        while v:
-            r += fen[v]
-            v &= v - 1
-        return r
+    # -- counts and the level's graph
 
     def _bad(self, v: int) -> bool:
         # For n >= 4 no two degree-2 vertices are adjacent, so the next one
@@ -709,7 +684,7 @@ class _Reducer:
     def apply(self, dele: set[int], gained: list[Chord]) -> None:
         """Carry out a plan: delete, link, re-count k and, unless the reduced
         graph is small enough for the base case, update the dual tree and
-        redo the leaf walks that read a removed or re-linked triangle."""
+        redo the leaf walks that may read a re-linked triangle."""
         adj, nxt, prv, dual = self.adjacency, self.nxt, self.prv, self.dual
         keep_tree = self.n - len(dele) > BASE_MAX_N
 
@@ -735,7 +710,6 @@ class _Reducer:
             recount.update((x, p, prv[p]))
         self.k -= sum(self._bad(v) for v in recount)
 
-        fen = self._fenwick
         for v in dele:
             for x in adj[v]:
                 if x not in dele:
@@ -745,10 +719,6 @@ class _Reducer:
             # When the last deleted vertex is unlinked, the cycle holds only
             # it and the survivors, so its successor survives.
             self._start = q
-            i = v + 1
-            while i < len(fen):
-                fen[i] -= 1
-                i += i & -i
         for a, b in gained:
             adj[a].add(b)
             adj[b].add(a)
@@ -779,14 +749,26 @@ class _Reducer:
                         dual[u].append(t)
         touched |= new
 
-        stale: set[Triangle] = set()
         for t in (*removed, *touched):
-            stale |= self._readers.get(t, set())
+            self._unwalk(t)
+        # A surviving leaf whose walk read a removed or re-linked triangle
+        # reaches a re-linked one within 6 hops, through triangles of degree
+        # 2 (see the walk interface).  A walk redone that read neither comes
+        # out the same.
+        stale = {t for t in touched if len(dual[t]) == 1}
+        for t in touched:
+            for cur in dual[t]:
+                prev = t
+                for _ in range(6):
+                    nbrs = dual[cur]
+                    if len(nbrs) != 2:
+                        if len(nbrs) == 1:
+                            stale.add(cur)
+                        break
+                    prev, cur = cur, nbrs[nbrs[0] == prev]
         for leaf in stale:
             self._unwalk(leaf)
-        for t in stale | touched:
-            if len(dual.get(t, ())) == 1:
-                self._walk(t)
+            self._walk(leaf)
 
     def undo(self, dele: Iterable[int], gained: Iterable[Chord]) -> None:
         """Restore the adjacency from before ``apply(dele, gained)``, once
@@ -812,7 +794,7 @@ class _Reducer:
         double dominated, and a member keeps a degree above 2."""
         adj = self.adjacency
         reasons = []
-        if any(w not in s and not _two_in(adj[w], s) for w in window):
+        if any(w not in s and len(adj[w] & s) < 2 for w in window):
             reasons.append("not double dominating")
         deg2 = sorted(w for w in window if w in s and len(adj[w]) == 2)
         if deg2:
@@ -822,16 +804,6 @@ class _Reducer:
         return reasons
 
 
-def _two_in(nbrs: Iterable[int], s: set[int]) -> bool:
-    found = 0
-    for x in nbrs:
-        if x in s:
-            found += 1
-            if found == 2:
-                return True
-    return False
-
-
 @dataclass(slots=True)
 class _Level:
     """One applied reduction: its undo record, and what its lift and its
@@ -839,7 +811,6 @@ class _Level:
 
     rule: ReductionRule
     labels: dict[str, int]  # vertex ids
-    ranks: list[int]  # the label values in the level's own graph
     n: int
     k: int
     printed: bool | None
@@ -853,14 +824,12 @@ def _reduce(
     r: _Reducer, rule: ReductionRule, labels: dict[str, int], dele: set[int], gained: list[Chord]
 ) -> _Level:
     n, k = r.n, r.k
-    ranks = [r.rank(v) for v in labels.values()]
     printed = _printed_check(rule.k_printed, r, labels, k)
     r.apply(dele, gained)
     addback = frozenset(labels[x] for x in rule.addback)
     return _Level(
         rule=rule,
         labels=labels,
-        ranks=ranks,
         n=n,
         k=k,
         printed=None if printed is None else printed(r.k),
@@ -927,7 +896,7 @@ def _pack(n: int, levels: list[_Level], sizes: list[int], end: str, k_end: int) 
     for level, size in zip(levels, sizes):
         ki = keys.setdefault(tuple(level.labels), len(keys))
         flat += (rule_index(level.rule), ki, level.k, size, _PRINTED.index(level.printed))
-        flat += level.ranks
+        flat += level.labels.values()
     flat += (rule_index(end), keys.setdefault((), len(keys)), k_end, sizes[-1], 0)
     return ReductionTrace(
         n=n,

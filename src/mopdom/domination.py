@@ -185,15 +185,12 @@ def _solve_exact(
     g: MopGraph, *, standard: bool, forbid_deg2: bool
 ) -> tuple[int, tuple[int, ...]]:
     """(size, lex-min witness) by the dynamic program above, with no size
-    limit.  Reads ``g.chords`` and, when they are forbidden, the degree-2
-    vertices; it fills no adjacency cache on ``g``."""
+    limit.  Reads the fans of ``g`` and, when they are forbidden, the
+    degree-2 vertices; it fills no adjacency cache on ``g``."""
     n = g.n
     rules = _RULES[standard]
     states, inc, done, join = rules.states, rules.inc, rules.done, rules.join
-    up = [[v + 1] for v in range(n)]  # higher neighbours, ascending
-    for a, b in g.chords:  # sorted, so each list stays ascending
-        up[a].append(b)
-    up[0].append(n - 1)
+    up = g.higher_neighbours()
     allowed = [True] * n
     if forbid_deg2:
         for v in g.degree2_vertices():

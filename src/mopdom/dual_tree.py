@@ -81,10 +81,7 @@ def fan_triangles(g: MopGraph) -> tuple[list[Vertices3], list[DualEdge]]:
     Each vertex's chords are emitted in ascending order, so the edges come
     out sorted by chord."""
     n = g.n
-    fans = [[v + 1] for v in range(n - 1)]  # vertex n - 1 has no higher neighbour
-    for a, b in g.chords:
-        fans[a].append(b)
-    fans[0].append(n - 1)
+    fans = g.higher_neighbours()
 
     triangles: list[Vertices3] = []
     edges: list[DualEdge] = []
@@ -186,8 +183,8 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
 
     Only ``g.n`` and the tree's ``vertices``, ``neighbours`` and ``degree``
     are read, so any object offering those can stand in for the graph and
-    its dual tree.  ``vertices`` is read exactly at the nodes of the walk,
-    and ``neighbours`` and ``degree`` only there too.
+    its dual tree.  ``neighbours`` and ``degree`` are read at the first 7
+    nodes of the walk at most, and ``vertices`` at the first 8.
     """
     if g.n < 9:
         raise PreconditionTooSmall(f"branch matching needs n >= 9, got {g.n}")

@@ -68,6 +68,17 @@ class MopGraph:
         cyc = [(i, i + 1) for i in range(self.n - 1)] + [(0, self.n - 1)]
         return sorted(set(cyc).union(self.chords))
 
+    def higher_neighbours(self) -> list[list[int]]:
+        """For each vertex but the last, its neighbours above it, ascending:
+        the fan of the polygon's triangles at that vertex.  Built from
+        ``chords`` alone, so the adjacency cache stays empty."""
+        n = self.n
+        up = [[v + 1] for v in range(n - 1)]
+        for a, b in self.chords:  # sorted, so each list stays ascending
+            up[a].append(b)
+        up[0].append(n - 1)
+        return up
+
     def degree2_vertices(self) -> tuple[int, ...]:
         """Vertices of degree 2, ascending.  These are exactly the vertices
         that appear in no chord."""

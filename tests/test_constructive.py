@@ -283,7 +283,7 @@ class TestSolveBound:
         assert soft["printed_k"] == rules["case_1_1"] == 133
 
     def test_soft_failures_match_the_spelled_out_steps(self):
-        # soft_failures counts from the packed log; to_obj spells every step
+        # soft_failures counts the soft checks that to_obj spells out
         graphs = [g for n in range(9, 12) for g in enumerate_all(n)]
         graphs += [random_mop(n, seed) for n, seed in RANDOM_CASES + LARGE_CASES]
         for g in graphs:

@@ -1,9 +1,10 @@
 """The in-place engine against the rebuild-per-level oracles.
 
 At every level of every graph checked, the engine's graph relabelled by rank
-must equal ``apply_rule``'s, its leaf walks must equal a full rebuild's, and
-its bad-vertex count must equal ``bad_vertices``.  The dual tree it starts
-from must equal ``build_dual_tree``'s.  At every lift, the local
+must equal ``apply_rule``'s, its leaf walks must equal a full rebuild's, its
+bad-vertex count must equal ``bad_vertices``, and the trace's step for the
+level must carry the level's labels by rank.  The dual tree it starts from
+must equal ``build_dual_tree``'s.  At every lift, the local
 lift check must give the verdict ``certify`` gives on that level's graph,
 also when one window vertex is dropped from the lifted set or added to it.  A property test
 holds the local MOP-validity check to ``reduce_graph``.
@@ -27,6 +28,7 @@ from mopdom import (
     match_branch_shape,
     random_mop,
     reduce_graph,
+    solve_bound,
 )
 from mopdom import constructive as c
 
@@ -81,6 +83,7 @@ def check_level(r):
 
 
 def check_every_level(g):
+    steps = solve_bound(g).trace.to_obj()
     r = c._Reducer(g, bad_vertices(g).k)
     levels = []
     cur, ids = check_level(r)
@@ -90,8 +93,13 @@ def check_every_level(g):
             _, s = step
             break
         rank = {v: i for i, v in enumerate(ids)}
-        assert step.ranks == [rank[v] for v in step.labels.values()]
-        ref, _ = apply_rule(cur, step.rule, {role: rank[v] for role, v in step.labels.items()})
+        labels = {role: rank[v] for role, v in step.labels.items()}
+        traced = steps[len(levels)]
+        assert (traced["rule"], traced["n_before"]) == (step.rule.rule_id, cur.n)
+        assert traced["labels"] == labels
+        assert traced["deleted"] == sorted(rank[v] for v in step.deleted)
+        assert traced["added_back"] == sorted(rank[v] for v in step.addback)
+        ref, _ = apply_rule(cur, step.rule, labels)
         after, after_ids = check_level(r)
         assert after == ref
         # The lift is checked at every vertex the reduction gave a neighbour.
