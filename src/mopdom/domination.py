@@ -10,9 +10,12 @@ Two flavours of "every vertex is watched twice" are supported:
 The exact solver is a dynamic program that splits the polygon at the apex of
 each base edge: one pass over the n - 2 triangles with tables of fixed size,
 without recursion, for both modes and with degree-2 vertices forbidden or
-not.  Witnesses are the lexicographically smallest minimum solutions, so
-independently written oracles can compare sets, not just sizes.  The size
-limit MOPDOM_EXACT_LIMIT (default 22) stays in force for now.
+not.  Tables are normalized by their minimum and scored with small integers,
+so the pass is linear in n; the joins of recurring tables are memoized per
+mode, in memory capped at a fixed number of joins.  Witnesses are the
+lexicographically smallest minimum solutions, so independently written
+oracles can compare sets, not just sizes.  The size limit MOPDOM_EXACT_LIMIT
+(default 22) stays in force for now.
 
 ``bad_vertices`` reports the degree-2 vertices in clockwise order together
 with the clockwise outer-cycle gap to the next degree-2 vertex; a vertex with
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import os
+import threading
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import BadParameter, Infeasible, TooLarge, TooSmall
 from .graph_core import MopGraph
@@ -125,12 +129,31 @@ def bad_vertices(g: MopGraph) -> BadVertexReport:
 # for one supporter, and state _IN + 1 is a member that has it.  Once every
 # supporter is counted, a vertex is satisfied in state 2 or the top state.
 #
-# A choice is scored by one integer, (size << n) - bits, where bit n-1-v
-# stands for vertex v.  The smallest score is a minimum set and, among those,
-# the lexicographically smallest as a sorted tuple.  Sides have disjoint
-# label ranges as interiors, so their scores add.
+# The best choice is the smallest, and among those the lexicographically
+# smallest as a sorted tuple.  A table holds one entry per key
+# lo_state * states + hi_state, as three runs of equal length: the keys in
+# order, then each choice's size minus the table's minimum, then its
+# *bit-rank*.  The bit-rank is dense and orders the table's choices by their
+# interior alone, 0 for the lexicographically smallest.  A left interior lies
+# below the apex and a right one above it, so a join compares the candidates
+# for a key by (size, left rank, apex not in S, right rank), and re-ranks its
+# outputs by the last three.  Every number stays a small integer, whatever n
+# is; scoring a choice as an n-bit integer would cost n / 64 word operations
+# per comparison.
+#
+# Normalized this way, the tables of random MOPs fall into a few thousand
+# classes per mode.  So each mode interns every table whose sizes lie within
+# _NARROW of its minimum, and memoizes the join of two classes: the class it
+# yields, its minimum over the sum of theirs, and its back-pointers
+# (_Classes).  A hit costs one dictionary lookup.  Wider tables come from hub
+# vertices, as in fans, where a side's spread grows with its length; they
+# are joined directly and never interned.  The witness is read off the
+# back-pointers by a top-down traceback, and a pass that wants only the size
+# keeps none.
 
 _IN = 3
+_NARROW = 2  # the widest size spread of an interned table
+_MEMO_CAP = 1 << 13  # memoized joins per mode before the next solve drops them
 
 
 class _Rules:
@@ -178,73 +201,211 @@ class _Rules:
         ]
 
 
-_RULES = (_Rules(standard=False), _Rules(standard=True))
+# A join scores a candidate as one integer: from the top, its size, the left
+# rank, whether the apex is left out, the right rank, then the left and the
+# right key.  Ranks and keys are below 32, so each takes 5 bits.
+_SIZE = 1 << 21
+_APEX_OUT = 1 << 15
+
+
+def _entries(table) -> Iterator[tuple[int, int, int]]:
+    """(key, size, rank) of each entry of a table, in key order."""
+    m = len(table) // 3
+    return zip(table[:m], table[m : 2 * m], table[2 * m :])
+
+
+def _join(join: list, left, right) -> tuple[list[int], int, int, bytes]:
+    """The table of the side that sides ``left`` and ``right`` close, its
+    minimum over the sum of theirs, its size spread, and its back-pointers:
+    its keys, then the left key and then the right key of each key's choice.
+    ``join`` is _Rules.join."""
+    rights = [(rk, rs * _SIZE | rr << 10 | rk) for rk, rs, rr in _entries(right)]
+    best: dict[int, int] = {}
+    for lk, ls, lr in _entries(left):
+        row = join[lk]
+        base = ls * _SIZE | lr << 16 | lk << 5
+        for rk, rb in rights:
+            t = row[rk]
+            if t is not None:
+                key, xc = t
+                sc = base + rb + (_SIZE if xc else _APEX_OUT)
+                if sc < best.get(key, sc + 1):
+                    best[key] = sc
+    if not best:
+        return [], 0, 0, b""
+    keys = sorted(best)
+    scores = list(map(best.__getitem__, keys))
+    least = min(scores) // _SIZE
+    sizes = [sc // _SIZE - least for sc in scores]
+    interiors = [sc >> 10 & 0x7FF for sc in scores]
+    order = sorted(set(interiors))
+    ranks = list(map(dict(zip(order, range(len(order)))).__getitem__, interiors))
+    bp = bytes(keys + [sc >> 5 & 31 for sc in scores] + [sc & 31 for sc in scores])
+    return keys + sizes + ranks, least, max(sizes), bp
+
+
+class _Classes:
+    """One mode's interned side tables and memoized joins of pairs of them.
+
+    A class is a table interned as ``bytes`` and named by its index in
+    ``tables``; the four leaf tables are classes 0..3, class
+    2 * lo_allowed + hi_allowed.  ``joins[a << 32 | b]`` is ``(class,
+    offset, back-pointers)`` for classes a and b (ids stay far below
+    2**32), and ``roots[c]`` the best root choice of class c.  The memo
+    only caches: no result depends on what it holds.  A solve that finds
+    more than _MEMO_CAP joins held replaces the whole object with an empty
+    one, so memory stays bounded and a solve running meanwhile keeps the
+    ids it holds.  ``lock`` guards the misses, which intern; hits only
+    read."""
+
+    __slots__ = ("rules", "lock", "ids", "tables", "joins", "roots")
+
+    def __init__(self, rules: _Rules) -> None:
+        self.rules = rules
+        self.lock = threading.Lock()
+        self.ids: dict[bytes, int] = {}
+        self.tables: list[bytes] = []
+        self.joins: dict[int, tuple[int, int, bytes]] = {}
+        self.roots: dict[int, tuple[int, int] | None] = {}
+        for lo in (0, 1):
+            for hi in (0, 1):
+                keys = sorted(rules.leaf[lo][hi])
+                self.intern(bytes(keys + [0] * (2 * len(keys))))
+
+    def intern(self, table: bytes) -> int:
+        c = self.ids.get(table)
+        if c is None:
+            c = len(self.tables)
+            self.tables.append(table)
+            self.ids[table] = c
+        return c
+
+    def join(self, a: int, b: int, wide: list) -> tuple[int, int, bytes]:
+        """Join tables a and b, which the memo missed.  A negative id ~i
+        names ``wide[i]``, a table of this solve that was not interned; the
+        result is memoized only when both inputs and the output are
+        classes."""
+        tables = self.tables
+        table, offset, spread, bp = _join(
+            self.rules.join,
+            tables[a] if a >= 0 else wide[~a],
+            tables[b] if b >= 0 else wide[~b],
+        )
+        if spread > _NARROW:
+            wide.append(table)
+            return ~(len(wide) - 1), offset, bp
+        with self.lock:
+            hit = (self.intern(bytes(table)), offset, bp)
+            if a >= 0 and b >= 0:
+                self.joins[a << 32 | b] = hit
+        return hit
+
+    def root(self, c: int, wide: list) -> tuple[int, int] | None:
+        """(size over the table's minimum, key) of the best choice at the
+        root, the outer-cycle edge (0, n - 1), whose ends support each
+        other; None when no choice satisfies both ends."""
+        if c >= 0 and c in self.roots:
+            return self.roots[c]
+        rules = self.rules
+        states, inc, done = rules.states, rules.inc, rules.done
+        table = self.tables[c] if c >= 0 else wide[~c]
+        best = None
+        for key, s, r in _entries(table):
+            a, b = divmod(key, states)
+            if done[inc[a] if b >= _IN else a] and done[inc[b] if a >= _IN else b]:
+                # Vertex 0 comes before the interior, and n - 1 after it.
+                cand = (s + (a >= _IN) + (b >= _IN), a < _IN, r, b < _IN, key)
+                if best is None or cand < best:
+                    best = cand
+        found = None if best is None else (best[0], best[4])
+        if c >= 0:
+            self.roots[c] = found
+        return found
+
+
+# Per mode: the memo of the dynamic program, shared by every solve.
+_CLASSES = [_Classes(_Rules(standard=False)), _Classes(_Rules(standard=True))]
 
 
 def _solve_exact(
-    g: MopGraph, *, standard: bool, forbid_deg2: bool
-) -> tuple[int, tuple[int, ...]]:
+    g: MopGraph, *, standard: bool, forbid_deg2: bool, witness: bool = True
+) -> tuple[int, tuple[int, ...] | None]:
     """(size, lex-min witness) by the dynamic program above, with no size
-    limit.  Reads the fans of ``g`` and, when they are forbidden, the
+    limit; with ``witness`` false the witness is None and no back-pointers
+    are kept.  Reads the fans of ``g`` and, when they are forbidden, the
     degree-2 vertices; it fills no adjacency cache on ``g``."""
     n = g.n
-    rules = _RULES[standard]
-    states, inc, done, join = rules.states, rules.inc, rules.done, rules.join
-    up = g.higher_neighbours()
-    allowed = [True] * n
+    classes = _CLASSES[standard]
+    if len(classes.joins) > _MEMO_CAP:
+        classes = _CLASSES[standard] = _Classes(classes.rules)
+    joins = classes.joins
+    allowed = [1] * n
     if forbid_deg2:
         for v in g.degree2_vertices():
-            allowed[v] = False
+            allowed[v] = 0
 
-    # Edge (lo, hi) is (lo, j) with hi = up[lo][j]; its apex is up[lo][j - 1],
-    # and the apex's own highest neighbour is hi.
-    order = []
-    stack = [(0, len(up[0]) - 1)]
-    while stack:
-        lo, j = stack.pop()
-        order.append((lo, j))
-        if j:
-            c = up[lo][j - 1]
-            stack.append((lo, j - 1))
-            stack.append((c, len(up[c]) - 1))
+    # The fan of lo is up[lo] = [lo + 1, ..., hi], and its last edge (lo, hi)
+    # is lo's top side, whose table is top[lo].  The edge (lo, up[lo][j]),
+    # j >= 1, closes the sides (lo, c) and (c, hi) at the apex c = up[lo][j - 1],
+    # and (c, hi) is c's top side.  So each fan, highest lo first, folds its
+    # apexes' top sides into the leaf (lo, lo + 1).  After the pop, up[lo]
+    # holds those apexes; up[0] ends at n - 1, so top[0] is the root.
+    up = g.higher_neighbours()
+    top = [0] * n
+    wide: list[list[int]] = []
+    back: list[bytes] = []
+    offset = 0
+    for lo in range(n - 2, -1, -1):
+        fan = up[lo]
+        fan.pop()
+        a = 2 * allowed[lo] + allowed[lo + 1]  # the leaf class
+        for c in fan:
+            b = top[c]
+            hit = joins.get(a << 32 | b)
+            if hit is None:
+                hit = classes.join(a, b, wide)
+            a, o, bp = hit
+            offset += o
+            if witness:
+                back.append(bp)
+        top[lo] = a
 
-    one = 1 << n
-    tables: list[dict[int, int]] = []
-    for lo, j in reversed(order):  # children before parents, left side first
-        if not j:
-            tables.append(rules.leaf[allowed[lo]][allowed[lo + 1]])
-            continue
-        right = tables.pop()
-        left = tables.pop()
-        cost = one - (1 << (n - 1 - up[lo][j - 1]))
-        out: dict[int, int] = {}
-        for lk, ls in left.items():
-            row = join[lk]
-            for rk, rs in right.items():
-                t = row[rk]
-                if t is None:
-                    continue
-                key, xc = t
-                s = ls + rs + cost if xc else ls + rs
-                if s < out.get(key, s + 1):
-                    out[key] = s
-        tables.append(out)
-
-    # The root is the outer-cycle edge (0, n - 1): its ends support each other.
-    best = None
-    for key, s in tables[0].items():
-        a, b = divmod(key, states)
-        ea = inc[a] if b >= _IN else a
-        eb = inc[b] if a >= _IN else b
-        if done[ea] and done[eb]:
-            s += (one - (one >> 1) if a >= _IN else 0) + (one - 1 if b >= _IN else 0)
-            if best is None or s < best:
-                best = s
+    best = classes.root(top[0], wide)
     if best is None:
         raise Infeasible(f"n={n}: no double dominating set avoids the degree-2 vertices")
-    size = -(-best >> n)
-    bits = format((size << n) - best, f"0{n}b")
-    return size, tuple(v for v, bit in enumerate(bits) if bit == "1")
+    size, key = best[0] + offset, best[1]
+    if not witness:
+        return size, None
+
+    # Top-down, lowest lo first: a key fixes the keys of both sides it closes.
+    states, join = classes.rules.states, classes.rules.join
+    a, b = divmod(key, states)
+    chosen = [0] if a >= _IN else []
+    if b >= _IN:
+        chosen.append(n - 1)
+    keys = [0] * n  # the key chosen for each top side
+    keys[0] = key
+    i = len(back)
+    for lo in range(n - 1):
+        k = keys[lo]
+        for c in reversed(up[lo]):
+            i -= 1
+            bp = back[i]
+            m = len(bp) // 3
+            p = bp.index(k, 0, m)
+            lk, rk = bp[m + p], bp[2 * m + p]
+            if join[lk][rk][1]:
+                chosen.append(c)
+            keys[c] = rk
+            k = lk
+    chosen.sort()
+    return size, tuple(chosen)
+
+
+def _check_limit(g: MopGraph) -> None:
+    limit = exact_limit()
+    if g.n > limit:
+        raise TooLarge(f"n={g.n} exceeds exact limit {limit}")
 
 
 def exact_min_double_dom(
@@ -258,9 +419,7 @@ def exact_min_double_dom(
     when forbid_deg2 excludes every vertex of the triangle (n=3), the only
     infeasible configuration."""
     m = _as_mode(mode)
-    limit = exact_limit()
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds exact limit {limit}")
+    _check_limit(g)
     return _solve_exact(g, standard=(m is DominationMode.standard), forbid_deg2=forbid_deg2)
 
 
@@ -344,8 +503,10 @@ def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     rep = bad_vertices(g)  # raises TooSmall for n=3
     if not with_exact:
         return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=None, exact_standard=None)
-    lit, _ = exact_min_double_dom(g, DominationMode.literal)
-    std, _ = exact_min_double_dom(g, DominationMode.standard)
+    _check_limit(g)
+    # Sizes only: no witness, so no back-pointers to keep.
+    lit, _ = _solve_exact(g, standard=False, forbid_deg2=False, witness=False)
+    std, _ = _solve_exact(g, standard=True, forbid_deg2=False, witness=False)
     return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=lit, exact_standard=std)
 
 

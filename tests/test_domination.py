@@ -2,6 +2,7 @@ import gc
 import itertools
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,10 @@ from mopdom import (
     solve_bound,
     to_csv_row,
 )
+from mopdom import domination
 
 from naive_oracle import is_double_dom, min_double_dom
+from test_golden import EXACT_RANDOM_CASES
 
 
 # --- predicates ---------------------------------------------
@@ -274,6 +277,11 @@ def test_all_bounds_hold_on_a_slice():
 
 def test_bound_reports_retain_little():
     graphs = [random_mop(18 + i % 5, 5000 + i) for i in range(200)]
+    # The exact solver's memo is shared by the whole process, so one pass
+    # over the same graphs fills it first; what stays after that is the
+    # reports' own memory.
+    for g in graphs:
+        bound_report(g)
     tracemalloc.start()
     try:
         # A full collection also empties the interpreter's free lists, which
@@ -288,3 +296,83 @@ def test_bound_reports_retain_little():
     assert len(reports) == len(graphs)
     assert retained <= 400 * len(graphs), retained / len(graphs)
     assert not any("adjacency" in vars(g) for g in graphs)
+
+
+def test_size_only_reports_match_the_witness_pass():
+    graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(n, seed) for n, seed in EXACT_RANDOM_CASES]
+    for g in graphs:
+        r = bound_report(g)
+        assert r.exact_literal == exact_min_double_dom(g, "literal")[0]
+        assert r.exact_standard == exact_min_double_dom(g, "standard")[0]
+
+
+# --- the exact solver's memo ---------------------------------------------
+
+VARIANTS = [(mode, forbid) for mode in ("literal", "standard") for forbid in (False, True)]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Empty memos for the test, and the process's own back afterwards."""
+    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "100000")
+    monkeypatch.setattr(
+        domination, "_CLASSES", [domination._Classes(c.rules) for c in domination._CLASSES]
+    )
+    return domination._CLASSES
+
+
+def test_exact_memo_stays_under_its_cap(fresh_memo, monkeypatch):
+    graphs = [random_mop(12 + i % 60, 6000 + i) for i in range(150)] + [fan(333), snake(2000)]
+    want = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
+    cap = 300
+    monkeypatch.setattr(domination, "_MEMO_CAP", cap)
+    got = []
+    drops = 0
+    for g in graphs:
+        for mode, forbid in VARIANTS:
+            memo = domination._CLASSES[mode == "standard"]
+            got.append(exact_min_double_dom(g, mode, forbid))
+            # A solve drops a memo above the cap before it starts, and adds
+            # at most one join per triangle.
+            after = domination._CLASSES[mode == "standard"]
+            drops += after is not memo
+            assert len(after.joins) <= cap + g.n - 2
+    assert drops > 10
+    assert got == want
+
+
+def test_hub_graphs_intern_no_new_classes(fresh_memo):
+    def solve_all(graphs):
+        for g in graphs:
+            for mode, forbid in VARIANTS:
+                exact_min_double_dom(g, mode, forbid)
+        return [(len(c.tables), len(c.joins)) for c in fresh_memo]
+
+    seen = solve_all([fan(333), snake(2000)])
+    # Hub sides are never interned, so longer fans and snakes meet no class
+    # that the shorter ones did not.
+    assert solve_all([fan(1000), snake(8000), fan(333)]) == seen
+
+
+def test_threads_share_the_memo(fresh_memo, monkeypatch):
+    graphs = [random_mop(12 + i % 11, 7000 + i) for i in range(40)]
+    want = [exact_min_double_dom(g, mode) for g in graphs for mode in ("literal", "standard")]
+    # A small cap makes the solves replace the memo under each other.
+    monkeypatch.setattr(domination, "_MEMO_CAP", 40)
+    monkeypatch.setattr(
+        domination, "_CLASSES", [domination._Classes(c.rules) for c in domination._CLASSES]
+    )
+
+    def work():
+        return [exact_min_double_dom(g, mode) for g in graphs for mode in ("literal", "standard")]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 4

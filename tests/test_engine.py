@@ -6,8 +6,10 @@ bad-vertex count must equal ``bad_vertices``, and the trace's step for the
 level must carry the level's labels by rank.  The dual tree it starts from
 must equal ``build_dual_tree``'s.  At every lift, the local
 lift check must give the verdict ``certify`` gives on that level's graph,
-also when one window vertex is dropped from the lifted set or added to it.  A property test
-holds the local MOP-validity check to ``reduce_graph``.
+also when one window vertex is dropped from the lifted set or added to it,
+and the trace's soft checks must match a count taken from the reference
+graphs and the lifted sets.  A property test holds the local MOP-validity
+check to ``reduce_graph``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from mopdom import (
     bad_vertices,
     base_case_solve,
     build_dual_tree,
+    build_mop,
     certify,
     enumerate_all,
     match_branch_shape,
@@ -34,6 +37,12 @@ from mopdom import constructive as c
 
 # The fixed random set of tests/test_golden.py.
 RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
+# The chords of the one graph whose lift misses size_exact in the strict
+# campaign of tests/test_golden.py (`random/145/n21`).
+SIZE_EXACT_MISS = [
+    (0, 14), (0, 15), (1, 14), (2, 4), (2, 5), (2, 12), (2, 13), (2, 14), (5, 8),
+    (5, 12), (6, 8), (8, 12), (9, 12), (10, 12), (15, 19), (15, 20), (16, 19), (17, 19),
+]
 
 
 def _in_ids(res, key, ids):
@@ -83,9 +92,11 @@ def check_level(r):
 
 
 def check_every_level(g):
-    steps = solve_bound(g).trace.to_obj()
+    trace = solve_bound(g).trace
+    steps = trace.to_obj()
     r = c._Reducer(g, bad_vertices(g).k)
     levels = []
+    misses = {"telescope": 0, "size_exact": 0}
     cur, ids = check_level(r)
     while r.n > c.BASE_MAX_N:
         step = c._next_step(r, permissive=False)
@@ -111,17 +122,27 @@ def check_every_level(g):
             <= {ids[j] for j in cur.adjacency[rank[v]]}
         }
         assert step.deleted | step.addback | grew <= step.window
+        # The telescope, from the reference graphs alone.
+        shrink = (cur.n - after.n) + (bad_vertices(cur).k - bad_vertices(after).k)
+        telescope = shrink >= 2 * len(step.addback)
+        assert traced["telescope_ok"] is telescope
         levels.append((step, cur, ids, after, after_ids))
+        misses["telescope"] += not telescope
         cur, ids = after, after_ids
     else:
         s = {ids[i] for i in base_case_solve(cur)}
 
-    for step, cur, ids, after, after_ids in reversed(levels):
+    for depth in reversed(range(len(levels))):
+        step, cur, ids, after, after_ids = levels[depth]
         r.undo(step.deleted, step.gained)
         assert all(r.adjacency[v] == {ids[j] for j in cur.adjacency[i]} for i, v in enumerate(ids))
         sub = set(s)
         assert all(step.labels[x] in sub for x in step.rule.required)
         s = sub | step.addback
+        # The lift grows the set by every vertex it adds back.
+        exact = len(s) == len(sub) + len(step.addback)
+        assert (steps[depth]["size_after_lift"], steps[depth]["size_exact"]) == (len(s), exact)
+        misses["size_exact"] += not exact
         window = step.window
         rank = {v: i for i, v in enumerate(ids)}
         after_rank = {v: i for i, v in enumerate(after_ids)}
@@ -139,6 +160,8 @@ def check_every_level(g):
             reduced = sub ^ ({w} & set(after_ids))
             if certify(after, [after_rank[v] for v in reduced]).certified:
                 assert local(s ^ {w}) == full(s ^ {w}), (step.rule.rule_id, w)
+    soft = trace.soft_failures()
+    assert {key: soft[key] for key in misses} == misses
     return len(levels)
 
 
@@ -150,6 +173,14 @@ def test_every_level_of_the_band_matches_the_oracles():
 def test_every_level_of_the_random_set_matches_the_oracles():
     levels = sum(check_every_level(random_mop(n, seed)) for n, seed in RANDOM_CASES)
     assert levels > 500
+
+
+def test_every_level_of_the_size_exact_miss_matches_the_oracles():
+    # random/145/n21 of the strict campaign that STRESS_DIGEST pins: its
+    # case_2_3b step adds back a vertex that the reduced solution holds.
+    g = build_mop(21, SIZE_EXACT_MISS)
+    assert solve_bound(g).trace.soft_failures()["size_exact"] == 1
+    assert check_every_level(g) > 0
 
 
 # --- local MOP validity against reduce_graph ------------------------------------
