@@ -11,11 +11,13 @@ The exact solver is a dynamic program that splits the polygon at the apex of
 each base edge: one pass over the n - 2 triangles with tables of fixed size,
 without recursion, for both modes and with degree-2 vertices forbidden or
 not.  Tables are normalized by their minimum and scored with small integers,
-so the pass is linear in n; the joins of recurring tables are memoized per
-mode, in memory capped at a fixed number of joins.  Witnesses are the
-lexicographically smallest minimum solutions, so independently written
-oracles can compare sets, not just sizes.  The size limit MOPDOM_EXACT_LIMIT
-(default 22) stays in force for now.
+so the pass is linear in n.  Each join drops the entries that another entry
+of its table strictly dominates, so every table lies within 3 of its
+minimum.  Every table is interned as a class, and the joins of classes are
+memoized per mode, in memory capped at a fixed number of joins.  Witnesses
+are the lexicographically smallest minimum solutions, so independently
+written oracles can compare sets, not just sizes.  The size limit
+MOPDOM_EXACT_LIMIT (default 22) stays in force for now.
 
 ``bad_vertices`` reports the degree-2 vertices in clockwise order together
 with the clockwise outer-cycle gap to the next degree-2 vertex; a vertex with
@@ -141,18 +143,44 @@ def bad_vertices(g: MopGraph) -> BadVertexReport:
 # is; scoring a choice as an n-bit integer would cost n / 64 word operations
 # per comparison.
 #
-# Normalized this way, the tables of random MOPs fall into a few thousand
-# classes per mode.  So each mode interns every table whose sizes lie within
-# _NARROW of its minimum, and memoizes the join of two classes: the class it
-# yields, its minimum over the sum of theirs, and its back-pointers
-# (_Classes).  A hit costs one dictionary lookup.  Wider tables come from hub
-# vertices, as in fans, where a side's spread grows with its length; they
-# are joined directly and never interned.  The witness is read off the
-# back-pointers by a top-down traceback, and a pass that wants only the size
-# keeps none.
+# A join also drops the entries that another one dominates.  An end state e2
+# *covers* e when it serves the rest of the graph at least as well: e2 is in
+# S or e is not, and e2 needs no more supporters than e (2 - e outside S,
+# top - e in S).  So with the same membership more supporters cover fewer,
+# and a member covers a non-member at the cost of one more vertex: in
+# literal mode always, in standard mode as _IN + 1 always and as _IN over
+# states 0 and 1 only.  An entry (a, b, s) goes when another entry
+# (a2, b2, s2) of the same table has a2 covering a, b2 covering b and
+# s2 + flips < s, where flips counts the ends that the cover puts into S.
+# Swapping the cover's interior and ends into a solution that uses the entry
+# gives a set that is strictly smaller and still double dominates: a flipped
+# end needs no more than it got before, and every other vertex only gains.
+# So no minimum solution uses a dropped entry.  The comparison is strict, so
+# ties survive and the witness stays the lexicographically smallest minimum.
+# Each key of the unpruned table also stays covered, within its flips, by an
+# entry of the pruned one.  This holds side by side, because the join rules
+# are monotone under covering; where a cover on one side puts the apex into
+# S, the other side's entry with the apex put in, at no cost, joins it.
+#
+# Pruned, every table is narrow.  Let m be the least size in a side's table,
+# and I an interior of that size.  In literal mode, I with both ends in S
+# covers every key within two flips at size at most m, so nothing survives
+# above m + 2.  In standard mode, I with the apex and both ends in S
+# satisfies both ends and covers every key within two flips at size at most
+# m + 1, so nothing survives above m + 3.  An end that may not join S is a
+# degree-2 vertex under forbid_deg2.  It ends only leaves, whose sizes are
+# all 0, and one end of the root (0, n - 1); there, I with vertex 1 and the
+# other end in S bounds the spread by 2.  An apex that may not join S is the
+# degree-2 middle of a side (v, v + 2), whose one entry puts both ends in S.
+#
+# So every size fits a byte, and the tables of random MOPs, fans and snakes
+# fall into a few hundred classes per mode.  Each mode interns every table
+# and memoizes the join of two classes: the class it yields, its minimum
+# over the sum of theirs, and its back-pointers (_Classes).  A hit costs one
+# dictionary lookup.  The witness is read off the back-pointers by a
+# top-down traceback, and a pass that wants only the size keeps none.
 
 _IN = 3
-_NARROW = 2  # the widest size spread of an interned table
 _MEMO_CAP = 1 << 13  # memoized joins per mode before the next solve drops them
 
 
@@ -164,10 +192,11 @@ class _Rules:
     ``join[lo_state * states + left_apex][right_apex * states + hi_state]``
     is ``(lo_state' * states + hi_state', apex in S)`` for the edge the two
     sides close, or None when their apex states disagree on membership or
-    leave the apex short of supporters.  ``leaf[lo_allowed][hi_allowed]`` is
-    the table of an outer-cycle edge."""
+    leave the apex short of supporters.  ``covers[key]`` lists ``(key2,
+    flips)`` for every other key whose two states cover those of ``key``.
+    ``leaf[lo_allowed][hi_allowed]`` is the table of an outer-cycle edge."""
 
-    __slots__ = ("states", "inc", "done", "join", "leaf")
+    __slots__ = ("states", "inc", "done", "join", "covers", "leaf")
 
     def __init__(self, standard: bool) -> None:
         top = _IN + standard
@@ -190,11 +219,31 @@ class _Rules:
                             na, nb = (inc[a], inc[b]) if xc else (a, b)
                             row[q * states + b] = (na * states + nb, xc)
                 join.append(row)
+        # covering[e] lists (e2, flips) for each state e2 that covers e, e
+        # itself included.
+        need = [2 - e if e < _IN else top - e for e in range(states)]
+        covering = [
+            [
+                (e2, int(e2 >= _IN > e))
+                for e2 in range(states)
+                if (e2 >= _IN or e < _IN) and need[e2] <= need[e]
+            ]
+            for e in range(states)
+        ]
         choice = ((0,), (0, _IN))
         self.states = states
         self.inc = inc
         self.done = done
         self.join = join
+        self.covers = [
+            tuple(
+                (a2 * states + b2, fa + fb)
+                for a2, fa in covering[key // states]
+                for b2, fb in covering[key % states]
+                if a2 * states + b2 != key
+            )
+            for key in range(states * states)
+        ]
         self.leaf = [
             [{a * states + b: 0 for a in choice[lo] for b in choice[hi]} for hi in (0, 1)]
             for lo in (0, 1)
@@ -214,11 +263,11 @@ def _entries(table) -> Iterator[tuple[int, int, int]]:
     return zip(table[:m], table[m : 2 * m], table[2 * m :])
 
 
-def _join(join: list, left, right) -> tuple[list[int], int, int, bytes]:
-    """The table of the side that sides ``left`` and ``right`` close, its
-    minimum over the sum of theirs, its size spread, and its back-pointers:
-    its keys, then the left key and then the right key of each key's choice.
-    ``join`` is _Rules.join."""
+def _join(rules: _Rules, left, right) -> tuple[list[int], int, bytes]:
+    """The pruned table of the side that sides ``left`` and ``right`` close,
+    its minimum over the sum of theirs, and its back-pointers: its keys,
+    then the left key and then the right key of each key's choice."""
+    join = rules.join
     rights = [(rk, rs * _SIZE | rr << 10 | rk) for rk, rs, rr in _entries(right)]
     best: dict[int, int] = {}
     for lk, ls, lr in _entries(left):
@@ -232,16 +281,27 @@ def _join(join: list, left, right) -> tuple[list[int], int, int, bytes]:
                 if sc < best.get(key, sc + 1):
                     best[key] = sc
     if not best:
-        return [], 0, 0, b""
-    keys = sorted(best)
-    scores = list(map(best.__getitem__, keys))
-    least = min(scores) // _SIZE
-    sizes = [sc // _SIZE - least for sc in scores]
+        return [], 0, b""
+    size = {key: sc // _SIZE for key, sc in best.items()}
+    least = min(size.values())
+    covers = rules.covers
+    keys = []
+    for key in sorted(best):
+        s = size[key]
+        if s > least:  # an entry of the least size has no dominator
+            for k2, f in covers[key]:
+                if size.get(k2, s) + f < s:
+                    break
+            else:
+                keys.append(key)
+        else:
+            keys.append(key)
+    scores = [best[key] for key in keys]
     interiors = [sc >> 10 & 0x7FF for sc in scores]
-    order = sorted(set(interiors))
-    ranks = list(map(dict(zip(order, range(len(order)))).__getitem__, interiors))
+    rank = {x: i for i, x in enumerate(sorted(set(interiors)))}
     bp = bytes(keys + [sc >> 5 & 31 for sc in scores] + [sc & 31 for sc in scores])
-    return keys + sizes + ranks, least, max(sizes), bp
+    sizes = [sc // _SIZE - least for sc in scores]
+    return keys + sizes + [rank[x] for x in interiors], least, bp
 
 
 class _Classes:
@@ -280,47 +340,31 @@ class _Classes:
             self.ids[table] = c
         return c
 
-    def join(self, a: int, b: int, wide: list) -> tuple[int, int, bytes]:
-        """Join tables a and b, which the memo missed.  A negative id ~i
-        names ``wide[i]``, a table of this solve that was not interned; the
-        result is memoized only when both inputs and the output are
-        classes."""
-        tables = self.tables
-        table, offset, spread, bp = _join(
-            self.rules.join,
-            tables[a] if a >= 0 else wide[~a],
-            tables[b] if b >= 0 else wide[~b],
-        )
-        if spread > _NARROW:
-            wide.append(table)
-            return ~(len(wide) - 1), offset, bp
+    def join(self, a: int, b: int) -> tuple[int, int, bytes]:
+        """Join classes a and b, which the memo missed, and memoize it."""
+        table, offset, bp = _join(self.rules, self.tables[a], self.tables[b])
         with self.lock:
-            hit = (self.intern(bytes(table)), offset, bp)
-            if a >= 0 and b >= 0:
-                self.joins[a << 32 | b] = hit
+            hit = self.joins[a << 32 | b] = (self.intern(bytes(table)), offset, bp)
         return hit
 
-    def root(self, c: int, wide: list) -> tuple[int, int] | None:
+    def root(self, c: int) -> tuple[int, int] | None:
         """(size over the table's minimum, key) of the best choice at the
         root, the outer-cycle edge (0, n - 1), whose ends support each
         other; None when no choice satisfies both ends."""
-        if c >= 0 and c in self.roots:
+        if c in self.roots:
             return self.roots[c]
         rules = self.rules
         states, inc, done = rules.states, rules.inc, rules.done
-        table = self.tables[c] if c >= 0 else wide[~c]
         best = None
-        for key, s, r in _entries(table):
+        for key, s, r in _entries(self.tables[c]):
             a, b = divmod(key, states)
             if done[inc[a] if b >= _IN else a] and done[inc[b] if a >= _IN else b]:
                 # Vertex 0 comes before the interior, and n - 1 after it.
                 cand = (s + (a >= _IN) + (b >= _IN), a < _IN, r, b < _IN, key)
                 if best is None or cand < best:
                     best = cand
-        found = None if best is None else (best[0], best[4])
-        if c >= 0:
-            self.roots[c] = found
-        return found
+        self.roots[c] = None if best is None else (best[0], best[4])
+        return self.roots[c]
 
 
 # Per mode: the memo of the dynamic program, shared by every solve.
@@ -328,12 +372,19 @@ _CLASSES = [_Classes(_Rules(standard=False)), _Classes(_Rules(standard=True))]
 
 
 def _solve_exact(
-    g: MopGraph, *, standard: bool, forbid_deg2: bool, witness: bool = True
+    g: MopGraph,
+    *,
+    standard: bool,
+    forbid_deg2: bool,
+    witness: bool = True,
+    fans: list[list[int]] | None = None,
 ) -> tuple[int, tuple[int, ...] | None]:
     """(size, lex-min witness) by the dynamic program above, with no size
     limit; with ``witness`` false the witness is None and no back-pointers
-    are kept.  Reads the fans of ``g`` and, when they are forbidden, the
-    degree-2 vertices; it fills no adjacency cache on ``g``."""
+    are kept.  Reads the fans of ``g``, from ``fans`` when the caller has
+    built them with ``g.higher_neighbours()`` (they are left as they are),
+    and, when they are forbidden, its degree-2 vertices; it fills no
+    adjacency cache on ``g``."""
     n = g.n
     classes = _CLASSES[standard]
     if len(classes.joins) > _MEMO_CAP:
@@ -348,29 +399,26 @@ def _solve_exact(
     # is lo's top side, whose table is top[lo].  The edge (lo, up[lo][j]),
     # j >= 1, closes the sides (lo, c) and (c, hi) at the apex c = up[lo][j - 1],
     # and (c, hi) is c's top side.  So each fan, highest lo first, folds its
-    # apexes' top sides into the leaf (lo, lo + 1).  After the pop, up[lo]
-    # holds those apexes; up[0] ends at n - 1, so top[0] is the root.
-    up = g.higher_neighbours()
+    # apexes, all but its last vertex, into the leaf (lo, lo + 1).  up[0] ends
+    # at n - 1, so top[0] is the root.
+    up = g.higher_neighbours() if fans is None else fans
     top = [0] * n
-    wide: list[list[int]] = []
     back: list[bytes] = []
     offset = 0
     for lo in range(n - 2, -1, -1):
-        fan = up[lo]
-        fan.pop()
         a = 2 * allowed[lo] + allowed[lo + 1]  # the leaf class
-        for c in fan:
+        for c in up[lo][:-1]:
             b = top[c]
             hit = joins.get(a << 32 | b)
             if hit is None:
-                hit = classes.join(a, b, wide)
+                hit = classes.join(a, b)
             a, o, bp = hit
             offset += o
             if witness:
                 back.append(bp)
         top[lo] = a
 
-    best = classes.root(top[0], wide)
+    best = classes.root(top[0])
     if best is None:
         raise Infeasible(f"n={n}: no double dominating set avoids the degree-2 vertices")
     size, key = best[0] + offset, best[1]
@@ -388,7 +436,7 @@ def _solve_exact(
     i = len(back)
     for lo in range(n - 1):
         k = keys[lo]
-        for c in reversed(up[lo]):
+        for c in up[lo][-2::-1]:
             i -= 1
             bp = back[i]
             m = len(bp) // 3
@@ -504,9 +552,11 @@ def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     if not with_exact:
         return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=None, exact_standard=None)
     _check_limit(g)
-    # Sizes only: no witness, so no back-pointers to keep.
-    lit, _ = _solve_exact(g, standard=False, forbid_deg2=False, witness=False)
-    std, _ = _solve_exact(g, standard=True, forbid_deg2=False, witness=False)
+    # Sizes only: no witness, so no back-pointers to keep; one set of fans
+    # serves both modes.
+    fans = g.higher_neighbours()
+    lit, _ = _solve_exact(g, standard=False, forbid_deg2=False, witness=False, fans=fans)
+    std, _ = _solve_exact(g, standard=True, forbid_deg2=False, witness=False, fans=fans)
     return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=lit, exact_standard=std)
 
 

@@ -350,9 +350,25 @@ def test_hub_graphs_intern_no_new_classes(fresh_memo):
         return [(len(c.tables), len(c.joins)) for c in fresh_memo]
 
     seen = solve_all([fan(333), snake(2000)])
-    # Hub sides are never interned, so longer fans and snakes meet no class
-    # that the shorter ones did not.
+    # Pruned, the classes of hub sides close: once fan(333) and snake(2000)
+    # have met them, longer fans and snakes add no class and no join.
     assert solve_all([fan(1000), snake(8000), fan(333)]) == seen
+
+
+def test_repeat_hub_solves_join_nothing(fresh_memo, monkeypatch):
+    graphs = [fan(1000), snake(8000)]
+    want = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
+    calls = []
+    real = domination._Classes.join
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(domination._Classes, "join", counted)
+    got = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
+    assert got == want
+    assert calls == []
 
 
 def test_threads_share_the_memo(fresh_memo, monkeypatch):
@@ -376,3 +392,89 @@ def test_threads_share_the_memo(fresh_memo, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [want] * 4
+
+
+# --- the exact solver's dominance pruning ---------------------------------------------
+
+
+def spelled_out_covers(standard):
+    """{(e2, e): flips} for every end state e2 that covers state e, e itself
+    included: with the same membership more supporters cover fewer, and
+    _IN + 1 covers _IN; a member covers a non-member at one flip, in
+    literal mode always, in standard mode as _IN + 1 always and as _IN over
+    states 0 and 1 only."""
+    IN = domination._IN
+    top = IN + standard
+    outs, ins = range(IN), range(IN, top + 1)
+    cov = {}
+    for group in (outs, ins):
+        cov.update({(e2, e): 0 for e in group for e2 in group if e2 >= e})
+    cov.update({(e2, e): 1 for e in outs for e2 in ins if not standard or e2 == top or e < 2})
+    return cov
+
+
+@pytest.mark.parametrize("standard", [False, True], ids=["literal", "standard"])
+def test_covering_is_monotone_under_the_rules(standard):
+    rules = domination._Rules(standard)
+    states, join, done, inc = rules.states, rules.join, rules.done, rules.inc
+    cov = spelled_out_covers(standard)
+    for key in range(states * states):
+        a, b = divmod(key, states)
+        want = sorted(
+            (a2 * states + b2, cov[a2, a] + cov[b2, b])
+            for a2 in range(states)
+            for b2 in range(states)
+            if (a2, a) in cov and (b2, b) in cov and (a2, b2) != (a, b)
+        )
+        assert sorted(rules.covers[key]) == want
+
+    def joined(lo, p, q, hi):
+        return join[lo * states + p][q * states + hi]
+
+    for (e2, e), flips in cov.items():
+        assert done[e2] or not done[e]
+        assert cov.get((inc[e2], inc[e])) == flips
+        for x, p, q in itertools.product(range(states), repeat=3):
+            # The cover at the lo end, then at the hi end: the row stays
+            # defined, and its output covers at the same flips.
+            for end, first, second in (
+                (0, joined(e, p, q, x), joined(e2, p, q, x)),
+                (1, joined(x, p, q, e), joined(x, p, q, e2)),
+            ):
+                if first is None:
+                    continue
+                assert second is not None and second[1] == first[1]
+                out, out2 = divmod(first[0], states), divmod(second[0], states)
+                assert out2[1 - end] == out[1 - end]
+                assert cov.get((out2[end], out[end])) == flips
+    # The apex: when a cover on one side puts it into S, the other side's
+    # state with the apex put in, or any state that covers that, joins it.
+    outs = range(domination._IN)
+    put_in = {e: domination._IN + min(e, int(standard)) for e in outs}
+    for a, p, q, b in itertools.product(range(states), outs, outs, range(states)):
+        first = joined(a, p, q, b)
+        if first is None:
+            continue
+        for (p2, p1), f in cov.items():
+            for (q2, q1), g in cov.items():
+                if (p1, q1, f, g) in ((p, put_in[q], 1, 0), (put_in[p], q, 0, 1)):
+                    second = joined(a, p2, q2, b)
+                    assert second is not None and second[1]
+                    out, out2 = divmod(first[0], states), divmod(second[0], states)
+                    assert cov.get((out2[0], out[0])) == 0
+                    assert cov.get((out2[1], out[1])) == 0
+
+
+def test_pruned_tables_stay_narrow(fresh_memo, monkeypatch):
+    # Every class stays in the memo, so the check below sees them all.
+    monkeypatch.setattr(domination, "_MEMO_CAP", 1 << 30)
+    graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(12 + i % 69, 8000 + i) for i in range(100)] + [fan(1000), snake(5000)]
+    for g in graphs:
+        for mode, forbid in VARIANTS:
+            exact_min_double_dom(g, mode, forbid)
+    for memo, widest in zip(fresh_memo, (2, 3)):
+        assert len(memo.tables) > 4
+        for table in memo.tables:
+            m = len(table) // 3
+            assert max(table[m : 2 * m], default=0) <= widest
