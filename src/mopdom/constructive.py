@@ -45,7 +45,6 @@ from .domination import (
     DominationMode,
     _solve_exact,
     bad_vertices,
-    exact_limit,
     is_double_dominating,
 )
 from .dual_tree import (
@@ -865,7 +864,7 @@ def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
             continue
         return _reduce(r, rule, labels, dele, gained)
 
-    if permissive and r.n <= exact_limit():
+    if permissive:
         g, ids = r.level_graph()
         _, witness = _solve_exact(g, standard=False, forbid_deg2=True)
         if 2 * len(witness) <= r.n + r.k:

@@ -14,10 +14,10 @@ not.  Tables are normalized by their minimum and scored with small integers,
 so the pass is linear in n.  Each join drops the entries that another entry
 of its table strictly dominates, so every table lies within 3 of its
 minimum.  Every table is interned as a class, and the joins of classes are
-memoized per mode, in memory capped at a fixed number of joins.  Witnesses
-are the lexicographically smallest minimum solutions, so independently
-written oracles can compare sets, not just sizes.  The size limit
-MOPDOM_EXACT_LIMIT (default 22) stays in force for now.
+memoized, in memory capped at a fixed number of joins, so there is no size
+limit.  Bound reports fold the polygon once for both modes.  Witnesses are
+the lexicographically smallest minimum solutions, so independently written
+oracles can compare sets, not just sizes.
 
 ``bad_vertices`` reports the degree-2 vertices in clockwise order together
 with the clockwise outer-cycle gap to the next degree-2 vertex; a vertex with
@@ -27,15 +27,12 @@ gap >= 3 is *bad*.  The gaps of all degree-2 vertices always sum to n.
 from __future__ import annotations
 
 import enum
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .errors import BadParameter, Infeasible, TooLarge, TooSmall
+from .errors import Infeasible, TooSmall
 from .graph_core import MopGraph
-
-DEFAULT_EXACT_LIMIT = 22
 
 
 class DominationMode(str, enum.Enum):
@@ -47,20 +44,6 @@ def _as_mode(mode: DominationMode | str) -> DominationMode:
     if isinstance(mode, DominationMode):
         return mode
     return DominationMode(str(mode))
-
-
-def exact_limit() -> int:
-    """Current exact-solver vertex limit (env MOPDOM_EXACT_LIMIT, default 22).
-
-    Read at call time so tests and long campaigns can adjust it.  A value
-    that is not an integer raises BadParameter."""
-    raw = os.environ.get("MOPDOM_EXACT_LIMIT", "")
-    if not raw:
-        return DEFAULT_EXACT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameter(f"MOPDOM_EXACT_LIMIT must be an integer, got {raw!r}") from None
 
 
 # --- predicates ---------------------------------------------------------------
@@ -174,14 +157,19 @@ def bad_vertices(g: MopGraph) -> BadVertexReport:
 # degree-2 middle of a side (v, v + 2), whose one entry puts both ends in S.
 #
 # So every size fits a byte, and the tables of random MOPs, fans and snakes
-# fall into a few hundred classes per mode.  Each mode interns every table
-# and memoizes the join of two classes: the class it yields, its minimum
-# over the sum of theirs, and its back-pointers (_Classes).  A hit costs one
-# dictionary lookup.  The witness is read off the back-pointers by a
-# top-down traceback, and a pass that wants only the size keeps none.
+# fall into a few hundred classes per mode.  A memo (_Classes) runs a tuple
+# of modes side by side.  Its class is the tuple of one table per mode, and
+# it memoizes the join of two classes as the class it yields, each mode's
+# minimum over the sum of theirs, packed into one integer at _OFFSET_BITS
+# per mode, and the back-pointers.  A hit costs one dictionary lookup for
+# all its modes.  A witness solve folds over its mode's own memo and reads
+# the witness off the back-pointers by a top-down traceback.  A bound report
+# wants only the two sizes, so it folds once over the memo of both modes,
+# which keeps no back-pointers.
 
 _IN = 3
-_MEMO_CAP = 1 << 13  # memoized joins per mode before the next solve drops them
+_MEMO_CAP = 1 << 13  # memoized joins per memo before the next solve drops them
+_OFFSET_BITS = 32  # per mode in a packed offset; a mode's total is at most n
 
 
 class _Rules:
@@ -305,128 +293,148 @@ def _join(rules: _Rules, left, right) -> tuple[list[int], int, bytes]:
 
 
 class _Classes:
-    """One mode's interned side tables and memoized joins of pairs of them.
+    """Interned side tables and memoized joins of pairs of them, for the
+    tuple of modes whose ``rules`` it holds.
 
-    A class is a table interned as ``bytes`` and named by its index in
-    ``tables``; the four leaf tables are classes 0..3, class
-    2 * lo_allowed + hi_allowed.  ``joins[a << 32 | b]`` is ``(class,
-    offset, back-pointers)`` for classes a and b (ids stay far below
-    2**32), and ``roots[c]`` the best root choice of class c.  The memo
-    only caches: no result depends on what it holds.  A solve that finds
-    more than _MEMO_CAP joins held replaces the whole object with an empty
-    one, so memory stays bounded and a solve running meanwhile keeps the
-    ids it holds.  ``lock`` guards the misses, which intern; hits only
-    read."""
+    A class is the tuple of one table per mode, each interned as ``bytes``,
+    and is named by its index in ``tables``; the four leaf classes are
+    0..3, class 2 * lo_allowed + hi_allowed.  ``joins[a << 32 | b]`` is
+    ``(class, offsets, back-pointers)`` for classes a and b (ids stay far
+    below 2**32): ``offsets`` packs each mode's minimum over the sum of
+    theirs, mode i from bit _OFFSET_BITS * i, and the back-pointers are the
+    one mode's, or None in a memo of several modes.  ``roots[c]`` holds,
+    per mode, the best root choice of class c.  The memo only caches: no
+    result depends on what it holds.  A solve that finds more than
+    _MEMO_CAP joins held replaces the whole object with an empty one, so
+    memory stays bounded and a solve running meanwhile keeps the ids it
+    holds.  ``lock`` guards the misses, which intern; hits only read."""
 
     __slots__ = ("rules", "lock", "ids", "tables", "joins", "roots")
 
-    def __init__(self, rules: _Rules) -> None:
+    def __init__(self, rules: tuple[_Rules, ...]) -> None:
         self.rules = rules
         self.lock = threading.Lock()
-        self.ids: dict[bytes, int] = {}
-        self.tables: list[bytes] = []
-        self.joins: dict[int, tuple[int, int, bytes]] = {}
-        self.roots: dict[int, tuple[int, int] | None] = {}
+        self.ids: dict[tuple[bytes, ...], int] = {}
+        self.tables: list[tuple[bytes, ...]] = []
+        self.joins: dict[int, tuple[int, int, bytes | None]] = {}
+        self.roots: dict[int, tuple[tuple[int, int] | None, ...]] = {}
         for lo in (0, 1):
             for hi in (0, 1):
-                keys = sorted(rules.leaf[lo][hi])
-                self.intern(bytes(keys + [0] * (2 * len(keys))))
+                leaves = (sorted(r.leaf[lo][hi]) for r in rules)
+                self.intern(tuple(bytes(keys + [0] * (2 * len(keys))) for keys in leaves))
 
-    def intern(self, table: bytes) -> int:
-        c = self.ids.get(table)
+    def intern(self, tables: tuple[bytes, ...]) -> int:
+        c = self.ids.get(tables)
         if c is None:
             c = len(self.tables)
-            self.tables.append(table)
-            self.ids[table] = c
+            self.tables.append(tables)
+            self.ids[tables] = c
         return c
 
-    def join(self, a: int, b: int) -> tuple[int, int, bytes]:
+    def join(self, a: int, b: int) -> tuple[int, int, bytes | None]:
         """Join classes a and b, which the memo missed, and memoize it."""
-        table, offset, bp = _join(self.rules, self.tables[a], self.tables[b])
+        tables = []
+        offsets = 0
+        for i, (rules, left, right) in enumerate(zip(self.rules, self.tables[a], self.tables[b])):
+            table, offset, bp = _join(rules, left, right)
+            tables.append(bytes(table))
+            offsets |= offset << _OFFSET_BITS * i
         with self.lock:
-            hit = self.joins[a << 32 | b] = (self.intern(bytes(table)), offset, bp)
+            hit = self.joins[a << 32 | b] = (
+                self.intern(tuple(tables)),
+                offsets,
+                bp if len(tables) == 1 else None,
+            )
         return hit
 
-    def root(self, c: int) -> tuple[int, int] | None:
-        """(size over the table's minimum, key) of the best choice at the
-        root, the outer-cycle edge (0, n - 1), whose ends support each
+    def root(self, c: int) -> tuple[tuple[int, int] | None, ...]:
+        """Per mode, (size over the table's minimum, key) of the best choice
+        at the root, the outer-cycle edge (0, n - 1), whose ends support each
         other; None when no choice satisfies both ends."""
-        if c in self.roots:
-            return self.roots[c]
-        rules = self.rules
-        states, inc, done = rules.states, rules.inc, rules.done
-        best = None
-        for key, s, r in _entries(self.tables[c]):
-            a, b = divmod(key, states)
-            if done[inc[a] if b >= _IN else a] and done[inc[b] if a >= _IN else b]:
-                # Vertex 0 comes before the interior, and n - 1 after it.
-                cand = (s + (a >= _IN) + (b >= _IN), a < _IN, r, b < _IN, key)
-                if best is None or cand < best:
-                    best = cand
-        self.roots[c] = None if best is None else (best[0], best[4])
-        return self.roots[c]
+        best = self.roots.get(c)
+        if best is None:
+            best = self.roots[c] = tuple(map(_root, self.rules, self.tables[c]))
+        return best
 
 
-# Per mode: the memo of the dynamic program, shared by every solve.
-_CLASSES = [_Classes(_Rules(standard=False)), _Classes(_Rules(standard=True))]
+def _root(rules: _Rules, table: bytes) -> tuple[int, int] | None:
+    """One mode's part of :meth:`_Classes.root`."""
+    states, inc, done = rules.states, rules.inc, rules.done
+    best = None
+    for key, s, r in _entries(table):
+        a, b = divmod(key, states)
+        if done[inc[a] if b >= _IN else a] and done[inc[b] if a >= _IN else b]:
+            # Vertex 0 comes before the interior, and n - 1 after it.
+            cand = (s + (a >= _IN) + (b >= _IN), a < _IN, r, b < _IN, key)
+            if best is None or cand < best:
+                best = cand
+    return None if best is None else (best[0], best[4])
 
 
-def _solve_exact(
-    g: MopGraph,
-    *,
-    standard: bool,
-    forbid_deg2: bool,
-    witness: bool = True,
-    fans: list[list[int]] | None = None,
-) -> tuple[int, tuple[int, ...] | None]:
-    """(size, lex-min witness) by the dynamic program above, with no size
-    limit; with ``witness`` false the witness is None and no back-pointers
-    are kept.  Reads the fans of ``g``, from ``fans`` when the caller has
-    built them with ``g.higher_neighbours()`` (they are left as they are),
-    and, when they are forbidden, its degree-2 vertices; it fills no
-    adjacency cache on ``g``."""
-    n = g.n
-    classes = _CLASSES[standard]
+# The memos of the dynamic program, shared by every solve and keyed by their
+# modes (standard or not): one per mode for witness solves, and one of both
+# modes for bound reports.
+_LITERAL, _STANDARD = _Rules(standard=False), _Rules(standard=True)
+_MEMOS = {
+    (False,): _Classes((_LITERAL,)),
+    (True,): _Classes((_STANDARD,)),
+    (False, True): _Classes((_LITERAL, _STANDARD)),
+}
+
+
+def _fold(
+    modes: tuple[bool, ...], up: list[list[int]], top: list[int]
+) -> tuple[_Classes, int, int, list[bytes]]:
+    """Fold the polygon whose fans are ``up`` (``g.higher_neighbours()``)
+    over the memo of ``modes``, starting from ``top[lo]``, the leaf class of
+    each outer-cycle edge (lo, lo + 1): (the memo, the root's class, the
+    packed offsets, the back-pointers of each join in fold order, if the
+    memo keeps them).  ``top`` ends up holding each vertex's top side."""
+    classes = _MEMOS[modes]
     if len(classes.joins) > _MEMO_CAP:
-        classes = _CLASSES[standard] = _Classes(classes.rules)
+        classes = _MEMOS[modes] = _Classes(classes.rules)
     joins = classes.joins
-    allowed = [1] * n
-    if forbid_deg2:
-        for v in g.degree2_vertices():
-            allowed[v] = 0
-
     # The fan of lo is up[lo] = [lo + 1, ..., hi], and its last edge (lo, hi)
-    # is lo's top side, whose table is top[lo].  The edge (lo, up[lo][j]),
+    # is lo's top side, whose class is top[lo].  The edge (lo, up[lo][j]),
     # j >= 1, closes the sides (lo, c) and (c, hi) at the apex c = up[lo][j - 1],
     # and (c, hi) is c's top side.  So each fan, highest lo first, folds its
     # apexes, all but its last vertex, into the leaf (lo, lo + 1).  up[0] ends
     # at n - 1, so top[0] is the root.
-    up = g.higher_neighbours() if fans is None else fans
-    top = [0] * n
-    back: list[bytes] = []
+    back = []
     offset = 0
-    for lo in range(n - 2, -1, -1):
-        a = 2 * allowed[lo] + allowed[lo + 1]  # the leaf class
+    for lo in range(len(top) - 3, -1, -1):  # up[n - 2] is [n - 1]: no apex
+        a = top[lo]
         for c in up[lo][:-1]:
-            b = top[c]
-            hit = joins.get(a << 32 | b)
-            if hit is None:
-                hit = classes.join(a, b)
-            a, o, bp = hit
+            try:
+                a, o, bp = joins[a << 32 | top[c]]
+            except KeyError:
+                a, o, bp = classes.join(a, top[c])
             offset += o
-            if witness:
+            if bp is not None:  # None in a memo of several modes
                 back.append(bp)
         top[lo] = a
+    return classes, top[0], offset, back
 
-    best = classes.root(top[0])
+
+def _solve_exact(g: MopGraph, *, standard: bool, forbid_deg2: bool) -> tuple[int, tuple[int, ...]]:
+    """(size, lex-min witness) by the dynamic program above, with no size
+    limit.  Reads the fans of ``g`` and, when they are forbidden, its
+    degree-2 vertices; it fills no adjacency cache on ``g``."""
+    n = g.n
+    top = [3] * n  # the leaf class 2 * lo_allowed + hi_allowed of each (lo, lo + 1)
+    if forbid_deg2:
+        for v in g.degree2_vertices():
+            top[v] &= 1
+            top[v - 1] &= 2  # for v = 0, top[n - 1], which no fold reads
+    up = g.higher_neighbours()
+    classes, root, offset, back = _fold((standard,), up, top)
+    (best,) = classes.root(root)
     if best is None:
         raise Infeasible(f"n={n}: no double dominating set avoids the degree-2 vertices")
-    size, key = best[0] + offset, best[1]
-    if not witness:
-        return size, None
+    key = best[1]
 
     # Top-down, lowest lo first: a key fixes the keys of both sides it closes.
-    states, join = classes.rules.states, classes.rules.join
+    states, join = classes.rules[0].states, classes.rules[0].join
     a, b = divmod(key, states)
     chosen = [0] if a >= _IN else []
     if b >= _IN:
@@ -447,13 +455,7 @@ def _solve_exact(
             keys[c] = rk
             k = lk
     chosen.sort()
-    return size, tuple(chosen)
-
-
-def _check_limit(g: MopGraph) -> None:
-    limit = exact_limit()
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds exact limit {limit}")
+    return best[0] + offset, tuple(chosen)
 
 
 def exact_min_double_dom(
@@ -461,13 +463,11 @@ def exact_min_double_dom(
     mode: DominationMode | str = DominationMode.literal,
     forbid_deg2: bool = False,
 ) -> tuple[int, tuple[int, ...]]:
-    """Minimum double dominating set (size, lex-min witness).
+    """Minimum double dominating set (size, lex-min witness), for any n.
 
-    Raises TooLarge above the MOPDOM_EXACT_LIMIT threshold and Infeasible
-    when forbid_deg2 excludes every vertex of the triangle (n=3), the only
-    infeasible configuration."""
+    Raises Infeasible when forbid_deg2 excludes every vertex of the
+    triangle (n=3), the only infeasible configuration."""
     m = _as_mode(mode)
-    _check_limit(g)
     return _solve_exact(g, standard=(m is DominationMode.standard), forbid_deg2=forbid_deg2)
 
 
@@ -548,16 +548,24 @@ class BoundReport:
 def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
     """All tracked bounds for g, optionally with exact values and per-bound
     flags (exact_literal compared against each bound)."""
-    rep = bad_vertices(g)  # raises TooSmall for n=3
+    n = g.n
+    if n < 4:
+        raise TooSmall(f"bad vertices defined for n >= 4, got n={n}")
+    # k as bad_vertices counts it, walking each gap from its far end.
+    deg2 = g.degree2_vertices()
+    k = 0
+    prev = deg2[-1] - n
+    for v in deg2:
+        k += v - prev >= 3
+        prev = v
     if not with_exact:
-        return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=None, exact_standard=None)
-    _check_limit(g)
-    # Sizes only: no witness, so no back-pointers to keep; one set of fans
-    # serves both modes.
-    fans = g.higher_neighbours()
-    lit, _ = _solve_exact(g, standard=False, forbid_deg2=False, witness=False, fans=fans)
-    std, _ = _solve_exact(g, standard=True, forbid_deg2=False, witness=False, fans=fans)
-    return BoundReport(n=g.n, t=rep.t, k=rep.k, exact_literal=lit, exact_standard=std)
+        return BoundReport(n=n, t=len(deg2), k=k, exact_literal=None, exact_standard=None)
+    # Sizes only: one fold over the memo of both modes.
+    classes, root, offsets, _ = _fold((False, True), g.higher_neighbours(), [3] * n)
+    (lit, _), (std, _) = classes.root(root)
+    lit += offsets & (1 << _OFFSET_BITS) - 1
+    std += offsets >> _OFFSET_BITS
+    return BoundReport(n=n, t=len(deg2), k=k, exact_literal=lit, exact_standard=std)
 
 
 def csv_header() -> str:

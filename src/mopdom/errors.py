@@ -63,7 +63,7 @@ class TooSmall(MopError):
 
 
 class TooLarge(MopError):
-    """The graph exceeds the exact-solver size limit (MOPDOM_EXACT_LIMIT)."""
+    """The graph exceeds the base case's cap of n <= BASE_MAX_N (8)."""
 
 
 class Infeasible(MopError):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mopdom import cli, constructive, random_mop, snake, to_json
+from mopdom import (
+    bound_report,
+    cli,
+    constructive,
+    exact_min_double_dom,
+    random_mop,
+    snake,
+    to_json,
+)
 from mopdom.cli import run
 
 
@@ -172,26 +180,31 @@ def test_exact_twodom_honours_forbid_deg2(capsys, monkeypatch):
         assert obj == {"n": 6, "mode": mode, "size": 4, "witness": [1, 2, 4, 5]}
 
 
-def test_malformed_exact_limit_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "abc")
-    feed(monkeypatch, to_json(snake(6)))
-    assert run(["exact"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "MOPDOM_EXACT_LIMIT" in captured.err
-
-
 def test_exact_infeasible(capsys, monkeypatch):
     feed(monkeypatch, '{"n": 3, "chords": []}')
     assert run(["exact", "--forbid-deg2"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_exact_over_limit(capsys, monkeypatch):
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "8")
-    feed(monkeypatch, to_json(snake(9)))
-    assert run(["exact"]) == 2
-    assert "exceeds" in capsys.readouterr().err
+@pytest.mark.parametrize("env", [None, "abc", "8"], ids=["unset", "garbage", "small"])
+def test_exact_and_report_have_no_size_limit(capsys, monkeypatch, env):
+    # MOPDOM_EXACT_LIMIT is gone: whatever it holds, nothing reads it.
+    if env is None:
+        monkeypatch.delenv("MOPDOM_EXACT_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("MOPDOM_EXACT_LIMIT", env)
+    g = random_mop(1000, 1)
+    r = bound_report(g)
+    for mode in ("literal", "standard"):
+        feed(monkeypatch, to_json(g))
+        assert run(["exact", "--mode", mode]) == 0
+        (obj,) = [json.loads(ln) for ln in lines(capsys)]
+        assert (obj["n"], obj["size"]) == (1000, exact_min_double_dom(g, mode)[0])
+    feed(monkeypatch, to_json(g))
+    assert run(["report", "--format", "json"]) == 0
+    (obj,) = [json.loads(ln) for ln in lines(capsys)]
+    assert obj == r.to_obj()
+    assert (obj["exact_literal"], obj["exact_standard"]) == (442, 506)
 
 
 # --- verify ---------------------------------------------------------------

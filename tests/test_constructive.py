@@ -301,15 +301,11 @@ class TestPermissiveFallback:
 
     def test_permissive_mode_falls_back_to_exact(self, monkeypatch):
         self._gut_rules(monkeypatch)
-        res = solve_bound(snake(12), permissive=True)
-        assert res.certified
-        assert res.trace.rule_ids() == ("exact_fallback",)
-
-    def test_permissive_mode_respects_exact_limit(self, monkeypatch):
-        self._gut_rules(monkeypatch)
-        monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "10")
-        with pytest.raises(NoRuleApplies):
-            solve_bound(snake(12), permissive=True)
+        # The fallback has no size limit: 40 is beyond the old one of 22.
+        for n in (12, 40):
+            res = solve_bound(snake(n), permissive=True)
+            assert res.certified
+            assert res.trace.rule_ids() == ("exact_fallback",)
 
 
 def test_bound_violated_is_unreachable_for_real_inputs():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import sys
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 from mopdom import (
     CSV_COLUMNS,
-    BadParameter,
     DominationMode,
     Infeasible,
-    TooLarge,
     TooSmall,
     bad_vertices,
     bound_report,
@@ -21,7 +20,6 @@ from mopdom import (
     coverage_counts,
     csv_header,
     enumerate_all,
-    exact_limit,
     exact_min_double_dom,
     exact_min_two_dom,
     fan,
@@ -180,22 +178,6 @@ def test_infeasible_triangle():
     assert exact_min_double_dom(build_mop(3, []))[0] == 2
 
 
-def test_exact_limit_env(monkeypatch):
-    monkeypatch.delenv("MOPDOM_EXACT_LIMIT", raising=False)
-    assert exact_limit() == 22
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "5")
-    assert exact_limit() == 5
-    with pytest.raises(TooLarge):
-        exact_min_double_dom(snake(6))
-    with pytest.raises(TooLarge):
-        exact_min_two_dom(snake(6))
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "not-a-number")
-    with pytest.raises(BadParameter):
-        exact_limit()
-    with pytest.raises(BadParameter):
-        exact_min_double_dom(snake(6))
-
-
 def test_witnesses_are_sorted_valid_and_lex_min():
     g = snake(10)
     size, witness = exact_min_double_dom(g)
@@ -215,8 +197,7 @@ def test_witnesses_are_sorted_valid_and_lex_min():
     ],
     ids=["random400-0", "random400-1", "random400-2", "fan333", "snake2000"],
 )
-def test_exact_far_beyond_the_limit_brackets_the_engine(monkeypatch, make):
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "100000")
+def test_exact_far_beyond_the_limit_brackets_the_engine(make):
     recursion_limit = sys.getrecursionlimit()
     g = make()
     lit, lit_w = exact_min_double_dom(g, "literal")
@@ -301,8 +282,13 @@ def test_bound_reports_retain_little():
 def test_size_only_reports_match_the_witness_pass():
     graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
     graphs += [random_mop(n, seed) for n, seed in EXACT_RANDOM_CASES]
+    # Far beyond the old limit of 22, and hub-heavy.
+    graphs += [random_mop(n, 9000 + n) for n in range(23, 1001, 41)] + [random_mop(1000, 1)]
+    graphs += [fan(333), snake(2000)]
     for g in graphs:
         r = bound_report(g)
+        rep = bad_vertices(g)
+        assert (r.t, r.k) == (rep.t, rep.k)
         assert r.exact_literal == exact_min_double_dom(g, "literal")[0]
         assert r.exact_standard == exact_min_double_dom(g, "standard")[0]
 
@@ -314,50 +300,61 @@ VARIANTS = [(mode, forbid) for mode in ("literal", "standard") for forbid in (Fa
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """Empty memos for the test, and the process's own back afterwards."""
-    monkeypatch.setenv("MOPDOM_EXACT_LIMIT", "100000")
-    monkeypatch.setattr(
-        domination, "_CLASSES", [domination._Classes(c.rules) for c in domination._CLASSES]
-    )
-    return domination._CLASSES
+    """Empty memos for the test, and the process's own back afterwards.
+    Returns the registry itself, so it shows the memos that solves replace."""
+    memos = {modes: domination._Classes(c.rules) for modes, c in domination._MEMOS.items()}
+    monkeypatch.setattr(domination, "_MEMOS", memos)
+    return memos
+
+
+def solves(g):
+    """Each exact solve of g with the memo it folds over: every variant's
+    witness solve over its mode's memo, then the bound report's size-only
+    pass over the memo of both modes."""
+    for mode, forbid in VARIANTS:
+        yield (mode == "standard",), functools.partial(exact_min_double_dom, g, mode, forbid)
+    yield (False, True), functools.partial(bound_report, g)
+
+
+def solve_all(graphs):
+    return [run() for g in graphs for _, run in solves(g)]
 
 
 def test_exact_memo_stays_under_its_cap(fresh_memo, monkeypatch):
     graphs = [random_mop(12 + i % 60, 6000 + i) for i in range(150)] + [fan(333), snake(2000)]
-    want = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
+    want = solve_all(graphs)
     cap = 300
     monkeypatch.setattr(domination, "_MEMO_CAP", cap)
     got = []
-    drops = 0
+    drops = dict.fromkeys(fresh_memo, 0)
     for g in graphs:
-        for mode, forbid in VARIANTS:
-            memo = domination._CLASSES[mode == "standard"]
-            got.append(exact_min_double_dom(g, mode, forbid))
+        for modes, run in solves(g):
+            memo = fresh_memo[modes]
+            got.append(run())
             # A solve drops a memo above the cap before it starts, and adds
             # at most one join per triangle.
-            after = domination._CLASSES[mode == "standard"]
-            drops += after is not memo
+            after = fresh_memo[modes]
+            drops[modes] += after is not memo
             assert len(after.joins) <= cap + g.n - 2
-    assert drops > 10
+    assert sum(drops.values()) > 10 and all(drops.values()), drops
     assert got == want
 
 
 def test_hub_graphs_intern_no_new_classes(fresh_memo):
-    def solve_all(graphs):
-        for g in graphs:
-            for mode, forbid in VARIANTS:
-                exact_min_double_dom(g, mode, forbid)
-        return [(len(c.tables), len(c.joins)) for c in fresh_memo]
+    def sizes(graphs):
+        solve_all(graphs)
+        return {modes: (len(c.tables), len(c.joins)) for modes, c in fresh_memo.items()}
 
-    seen = solve_all([fan(333), snake(2000)])
+    seen = sizes([fan(333), snake(2000)])
     # Pruned, the classes of hub sides close: once fan(333) and snake(2000)
-    # have met them, longer fans and snakes add no class and no join.
-    assert solve_all([fan(1000), snake(8000), fan(333)]) == seen
+    # have met them, longer fans and snakes add no class and no join, in any
+    # memo.
+    assert sizes([fan(1000), snake(8000), fan(333)]) == seen
 
 
 def test_repeat_hub_solves_join_nothing(fresh_memo, monkeypatch):
     graphs = [fan(1000), snake(8000)]
-    want = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
+    want = solve_all(graphs)
     calls = []
     real = domination._Classes.join
 
@@ -366,23 +363,23 @@ def test_repeat_hub_solves_join_nothing(fresh_memo, monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(domination._Classes, "join", counted)
-    got = [exact_min_double_dom(g, mode, forbid) for g in graphs for mode, forbid in VARIANTS]
-    assert got == want
+    assert solve_all(graphs) == want
     assert calls == []
 
 
 def test_threads_share_the_memo(fresh_memo, monkeypatch):
     graphs = [random_mop(12 + i % 11, 7000 + i) for i in range(40)]
-    want = [exact_min_double_dom(g, mode) for g in graphs for mode in ("literal", "standard")]
-    # A small cap makes the solves replace the memo under each other.
-    monkeypatch.setattr(domination, "_MEMO_CAP", 40)
-    monkeypatch.setattr(
-        domination, "_CLASSES", [domination._Classes(c.rules) for c in domination._CLASSES]
-    )
 
     def work():
-        return [exact_min_double_dom(g, mode) for g in graphs for mode in ("literal", "standard")]
+        return [
+            (exact_min_double_dom(g, "literal"), exact_min_double_dom(g, "standard"), bound_report(g))
+            for g in graphs
+        ]
 
+    want = work()
+    # A small cap makes the solves replace the memos under each other.
+    monkeypatch.setattr(domination, "_MEMO_CAP", 40)
+    fresh_memo.update((modes, domination._Classes(c.rules)) for modes, c in fresh_memo.items())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -470,11 +467,11 @@ def test_pruned_tables_stay_narrow(fresh_memo, monkeypatch):
     monkeypatch.setattr(domination, "_MEMO_CAP", 1 << 30)
     graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
     graphs += [random_mop(12 + i % 69, 8000 + i) for i in range(100)] + [fan(1000), snake(5000)]
-    for g in graphs:
-        for mode, forbid in VARIANTS:
-            exact_min_double_dom(g, mode, forbid)
-    for memo, widest in zip(fresh_memo, (2, 3)):
+    solve_all(graphs)
+    widest = {domination._LITERAL: 2, domination._STANDARD: 3}
+    for memo in fresh_memo.values():
         assert len(memo.tables) > 4
-        for table in memo.tables:
-            m = len(table) // 3
-            assert max(table[m : 2 * m], default=0) <= widest
+        for tables in memo.tables:
+            for rules, table in zip(memo.rules, tables, strict=True):
+                m = len(table) // 3
+                assert max(table[m : 2 * m], default=0) <= widest[rules]
