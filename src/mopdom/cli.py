@@ -3,7 +3,8 @@
 Graphs travel as JSON objects ``{"n": ..., "chords": [[a, b], ...]}``, one
 per line (NDJSON); ``-`` means stdin.  Exit codes: 0 success, 1 negative
 outcome (invalid set under ``verify``, violations under ``stress``), 2 bad
-usage or a domain error (malformed graph, size limits, ...).
+usage or a domain error (malformed graph, a graph too small for the
+command, ...).
 """
 
 from __future__ import annotations

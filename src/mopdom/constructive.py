@@ -199,12 +199,23 @@ class ReductionTrace:
         return max(sum(1 for _ in self._heads()) - 1, 0)
 
     def soft_failures(self) -> dict[str, int]:
-        """How many steps fail each soft check of ``to_obj``."""
+        """How many steps fail each soft check of ``to_obj``, counted from
+        the log alone: a step removes as many vertices as the distinct ids
+        it deletes and adds back the distinct ids of its addback, and k and
+        the sizes are stored.  The terminal step fails none."""
+        log, keys, rules = self.log, self.keys, self.rules
         telescope = size_exact = printed_k = 0
-        for *_, telescope_ok, exact, printed_ok in self._fields():
-            telescope += not telescope_ok
-            size_exact += not exact
-            printed_k += printed_ok is False
+        i = 0
+        while not isinstance(rule := rules[log[i]], str):
+            roles = keys[log[i + 1]]
+            j = i + _HEAD + len(roles)
+            ids = dict(zip(roles, log[i + _HEAD : j]))
+            back = len({ids[r] for r in rule.addback})
+            shrink = len({ids[r] for r in rule.delete}) + log[i + 2] - log[j + 2]
+            telescope += shrink < 2 * back
+            size_exact += log[i + 3] != log[j + 3] + back
+            printed_k += _PRINTED[log[i + 4]] is False
+            i = j
         return {"telescope": telescope, "size_exact": size_exact, "printed_k": printed_k}
 
     def rule_ids(self) -> tuple[str, ...]:
@@ -225,10 +236,16 @@ class ReductionTrace:
         return json.dumps(self.to_obj())
 
 
+def _id_array(n: int, ids: Iterable[int]) -> array:
+    """Integers from 0 to n, in 16-bit words when n < 2**16, else in 64-bit
+    ones."""
+    return array("H" if n < 1 << 16 else "q", ids)
+
+
 @dataclass(frozen=True)
 class CertifiedResult:
     graph: MopGraph
-    members: tuple[int, ...]  # the solution, ascending
+    members: array  # the solution, ascending; see _id_array
     k: int
     bound: float
     certified: bool
@@ -238,8 +255,8 @@ class CertifiedResult:
     @property
     def solution(self) -> VertexSet:
         """The solution as a set, built on each access.  Campaigns and
-        benchmarks keep results in bulk, and a sorted tuple takes about a
-        fifth of the memory of a frozenset."""
+        benchmarks keep results in bulk, and a packed array of vertex ids
+        takes a small fraction of the memory of a frozenset."""
         return frozenset(self.members)
 
     def to_obj(self) -> dict[str, Any]:
@@ -262,7 +279,8 @@ def certify(
     g: MopGraph, solution: Iterable[int], trace: ReductionTrace | None = None
 ) -> CertifiedResult:
     """Check a solution against the graph alone, independent of its origin:
-    literal double domination, no degree-2 members, size within (n + k)/2."""
+    literal double domination, no degree-2 members, size within (n + k)/2.
+    Vertex ids outside 0..n-1 are reported, and must fit in 64 bits."""
     return _certify(g, solution, bad_vertices(g), trace)
 
 
@@ -271,10 +289,12 @@ def _certify(
 ) -> CertifiedResult:
     """:func:`certify` with the bad-vertex report of g already counted."""
     sol = frozenset(map(int, solution))
+    members = sorted(sol)
     reasons: list[str] = []
-    stray = sorted(v for v in sol if not 0 <= v < g.n)
+    stray = bool(members) and (members[0] < 0 or members[-1] >= g.n)
     if stray:
-        reasons.append(f"vertices {stray} outside 0..{g.n - 1}")
+        outside = [v for v in members if not 0 <= v < g.n]
+        reasons.append(f"vertices {outside} outside 0..{g.n - 1}")
     elif not is_double_dominating(g, sol, DominationMode.literal):
         reasons.append("not double dominating")
     deg2_hits = sorted(sol.intersection(rep.deg2))
@@ -284,7 +304,7 @@ def _certify(
         reasons.append(f"size {len(sol)} exceeds (n+k)/2 = {(g.n + rep.k) / 2:g}")
     return CertifiedResult(
         graph=g,
-        members=tuple(sorted(sol)),
+        members=array("q", members) if stray else _id_array(g.n, members),
         k=rep.k,
         bound=(g.n + rep.k) / 2,
         certified=not reasons,
@@ -442,29 +462,34 @@ def _pair_candidate(
     return None
 
 
-def _candidates(
-    deviations_by_leaf: Iterable[Deviation],
-    groups_by_anchor: Iterable[Iterable[BranchShape]],
-) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
+def _candidates(r: _Reducer) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
     """Reduction candidates of one level in deterministic order.
 
-    ``deviations_by_leaf`` are the deviating leaf walks, ascending by leaf;
-    ``groups_by_anchor`` are the clean walks of each anchor that collects at
-    least two, ascending by anchor.  Any deviation takes precedence; only
+    Any deviating leaf walk takes precedence, smallest leaf first; only
     when every leaf walk is clean are two-branch sites offered, smallest
-    anchor first, pairs ordered by (distance, leaf index).  Both inputs are
-    read lazily, so a level whose first candidate applies reads one entry."""
+    anchor first (:meth:`_Reducer.site_groups`), pairs ordered by
+    (distance, leaf index).  The smallest deviating leaf is read off the
+    top of its heap; the rest, which a level seldom asks for, are sorted on
+    demand.  Candidates are produced lazily, so a level whose first
+    candidate applies reads one walk."""
     deviations, _ = load_rules()
-    any_deviation = False
-    for dev in deviations_by_leaf:
-        any_deviation = True
+    walks, heap = r.walks, r._deviating
+    while heap and type(walks.get(heap[0])) is not Deviation:
+        heappop(heap)
+    if heap:
+        first = heap[0]
+        dev = walks[first]
         rule = deviations.get(dev.variant)
         if rule is not None:
-            yield rule, dict(dev.witness_labels)
-    if any_deviation:
+            yield rule, dev.witness_labels
+        for leaf in sorted({x for x in heap if x != first and type(walks.get(x)) is Deviation}):
+            dev = walks[leaf]
+            rule = deviations.get(dev.variant)
+            if rule is not None:
+                yield rule, dev.witness_labels
         return
 
-    for shapes in groups_by_anchor:
+    for shapes in r.site_groups():
         group = sorted(shapes, key=lambda sh: (sh.dist, sh.leaf))
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
@@ -473,26 +498,9 @@ def _candidates(
                     yield cand
 
 
-def _ascending(heap: list, valid: Callable[[Any], bool]) -> Iterator[Any]:
-    """The valid entries of a lazily pruned min-heap, smallest first.  The
-    smallest is read off the top; the rest, which a level seldom asks for,
-    are sorted on demand."""
-    while heap and not valid(heap[0]):
-        heappop(heap)
-    if not heap:
-        return
-    first = heap[0]
-    yield first
-    yield from sorted({x for x in heap if x != first and valid(x)})
-
-
 # --- the engine ---------------------------------------------------------------
 
 Triangle = tuple[int, int, int]  # a triangle by its sorted vertex triple
-
-
-def _tri(a: int, b: int, c: int) -> Triangle:
-    return tuple(sorted((a, b, c)))  # type: ignore[return-value]
 
 
 class _Reducer:
@@ -502,13 +510,15 @@ class _Reducer:
     tree with triangles keyed by their sorted vertex triple, the classified
     walk of every leaf, and the count k of bad vertices.  Labels in each
     level's own graph are not kept: the trace derives them from the vertex
-    ids.  ``n`` together with ``vertices``, ``neighbours`` and ``degree`` is
-    the interface that :func:`match_branch_shape` reads, so the walks are
-    classified by the same code as on a
+    ids.  ``n`` together with ``dual`` and ``corners`` (None: each node is
+    its own vertex triple) are the tables that :func:`match_branch_shape`
+    reads, so the walks are classified by the same code as on a
     :class:`~mopdom.dual_tree.DualTree`.  Once a reduction leaves at most
     ``BASE_MAX_N`` vertices, the loop ends, so the dual tree and the walks
     are no longer kept up to date.
     """
+
+    corners = None
 
     def __init__(self, g: MopGraph, k: int) -> None:
         n = g.n
@@ -530,26 +540,17 @@ class _Reducer:
         self._at_anchor: dict[Triangle, set[Triangle]] = {}  # anchor -> clean leaves
         self._anchors: list[Triangle] = []  # lazy heap of anchors with two or more
         if n > BASE_MAX_N:
-            for key, nbrs in self.dual.items():
+            for key, nbrs in dual.items():
                 if len(nbrs) == 1:
                     self._walk(key)
 
-    # -- the walk interface.  A walk reads degrees and neighbours at its first
-    # 7 triangles at most, and the 8th only for its vertices, which never
-    # change; ``apply`` relies on that to find the walks it must redo.
-
-    def vertices(self, node: Triangle) -> Triangle:
-        return node
-
-    def neighbours(self, node: Triangle) -> list[Triangle]:
-        return self.dual[node]
-
-    def degree(self, node: Triangle) -> int:
-        return len(self.dual[node])
+    # -- the walks.  A walk reads the neighbours of its first 7 triangles at
+    # most, and the 8th only for its vertices, which never change; ``apply``
+    # relies on that to find the walks it must redo.
 
     def _walk(self, leaf: Triangle) -> None:
         res = self.walks[leaf] = match_branch_shape(self, self, leaf)
-        if isinstance(res, Deviation):
+        if type(res) is Deviation:
             heappush(self._deviating, leaf)
         else:
             group = self._at_anchor.setdefault(res.anchor, set())
@@ -558,32 +559,30 @@ class _Reducer:
                 heappush(self._anchors, res.anchor)
 
     def _unwalk(self, node: Triangle) -> None:
-        res = self.walks.pop(node, None)
-        if isinstance(res, BranchShape):
+        """Forget the walk of ``node``, which has one."""
+        res = self.walks.pop(node)
+        if type(res) is BranchShape:
             group = self._at_anchor[res.anchor]
             group.discard(node)
             if not group:
                 del self._at_anchor[res.anchor]
 
-    # -- candidates, in the order of _candidates
-
-    def deviations(self) -> Iterator[Deviation]:
-        walks = self.walks
-        for leaf in _ascending(self._deviating, lambda x: type(walks.get(x)) is Deviation):
-            yield walks[leaf]
-
     def site_groups(self) -> Iterator[list[BranchShape]]:
-        at, walks = self._at_anchor, self.walks
-        for anchor in _ascending(self._anchors, lambda a: len(at.get(a, ())) >= 2):
+        """The clean walks of each anchor that collects at least two,
+        ascending by anchor.  The smallest anchor is read off the top of its
+        heap; the rest, which a level seldom asks for, are sorted on
+        demand."""
+        at, walks, heap = self._at_anchor, self.walks, self._anchors
+        while heap and len(at.get(heap[0], ())) < 2:
+            heappop(heap)
+        if not heap:
+            return
+        first = heap[0]
+        yield [walks[leaf] for leaf in at[first]]
+        for anchor in sorted({a for a in heap if a != first and len(at.get(a, ())) >= 2}):
             yield [walks[leaf] for leaf in at[anchor]]
 
-    # -- counts and the level's graph
-
-    def _bad(self, v: int) -> bool:
-        # For n >= 4 no two degree-2 vertices are adjacent, so the next one
-        # clockwise is at least 3 steps away unless it is 2 steps away.
-        adj = self.adjacency
-        return len(adj[v]) == 2 and len(adj[self.nxt[self.nxt[v]]]) != 2
+    # -- the level's graph
 
     def level_graph(self) -> tuple[MopGraph, list[int]]:
         """The current graph with its vertices relabelled 0..n-1 by rank,
@@ -647,8 +646,12 @@ class _Reducer:
                 if pair not in gained:
                     added.append(pair)
                 gained.add(pair)
-        lost = sum(len(adj[v]) for v in dele) - sum(len(adj[v] & dele) for v in dele) // 2
-        m2 = 2 * self.n - 3 - lost + len(gained)
+        ends = inner = 0  # edge ends at deleted vertices; those on both ends
+        for v in dele:
+            nb = adj[v]
+            ends += len(nb)
+            inner += len(nb & dele)
+        m2 = 2 * self.n - 3 - (ends - inner // 2) + len(gained)
         if m2 != 2 * n2 - 3:
             raise ResultNotMaximalOuterplanar(f"n={n2} needs {n2 - 3} chords, got {m2 - n2}")
         for a, b in added:
@@ -684,7 +687,7 @@ class _Reducer:
         """Carry out a plan: delete, link, re-count k and, unless the reduced
         graph is small enough for the base case, update the dual tree and
         redo the leaf walks that may read a re-linked triangle."""
-        adj, nxt, prv, dual = self.adjacency, self.nxt, self.prv, self.dual
+        adj, nxt, prv, dual, walks = self.adjacency, self.nxt, self.prv, self.dual, self.walks
         keep_tree = self.n - len(dele) > BASE_MAX_N
 
         removed: set[Triangle] = set()
@@ -694,9 +697,12 @@ class _Reducer:
                 for x in nb:
                     for y in nb & adj[x]:
                         if x < y:
-                            removed.add(_tri(v, x, y))
+                            removed.add((v, x, y) if v < x else (x, v, y) if v < y else (x, y, v))
 
-        # Badness of v reads v's degree and that of the vertex two steps on.
+        # v is bad when it has degree 2 and the vertex two steps on does not:
+        # for n >= 4 no two degree-2 vertices are adjacent, so the next one
+        # clockwise is at least 3 steps away unless it is 2 steps away.  So
+        # badness reads v's degree and that of the vertex two steps on.
         changed = set(dele)
         for v in dele:
             changed |= adj[v]
@@ -707,7 +713,10 @@ class _Reducer:
         for x in changed:
             p = prv[x]
             recount.update((x, p, prv[p]))
-        self.k -= sum(self._bad(v) for v in recount)
+        bad = 0
+        for v in recount:
+            if len(adj[v]) == 2 and len(adj[nxt[nxt[v]]]) != 2:
+                bad += 1
 
         for v in dele:
             for x in adj[v]:
@@ -722,7 +731,10 @@ class _Reducer:
             adj[a].add(b)
             adj[b].add(a)
         self.n -= len(dele)
-        self.k += sum(self._bad(v) for v in recount - dele)
+        for v in recount:
+            if v not in dele and len(adj[v]) == 2 and len(adj[nxt[nxt[v]]]) != 2:
+                bad -= 1
+        self.k -= bad
         if not keep_tree:
             return
 
@@ -735,25 +747,34 @@ class _Reducer:
         # Every new triangle holds a gained edge.  An old triangle across one
         # of its sides lost the removed triangle that held that side, so it
         # is already touched.
-        new = {_tri(a, b, c) for a, b in gained for c in adj[a] & adj[b]}
+        new = set()
+        for a, b in gained:
+            for c in adj[a] & adj[b]:
+                new.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
         for t in new:
             dual[t] = []
         for t in new:
             a, b, c = t
+            nbrs = dual[t]
             for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
                 for w in adj[x] & adj[y]:
-                    u = _tri(x, y, w)
-                    if w != z and u not in dual[t]:
-                        dual[t].append(u)
-                        dual[u].append(t)
+                    if w != z:
+                        u = (w, x, y) if w < x else (x, w, y) if w < y else (x, y, w)
+                        if u not in nbrs:
+                            nbrs.append(u)
+                            dual[u].append(t)
         touched |= new
 
-        for t in (*removed, *touched):
-            self._unwalk(t)
+        for t in removed:
+            if t in walks:
+                self._unwalk(t)
+        for t in touched:
+            if t in walks:
+                self._unwalk(t)
         # A surviving leaf whose walk read a removed or re-linked triangle
         # reaches a re-linked one within 6 hops, through triangles of degree
-        # 2 (see the walk interface).  A walk redone that read neither comes
-        # out the same.
+        # 2 (see the walks).  A walk redone that read neither comes out the
+        # same.
         stale = {t for t in touched if len(dual[t]) == 1}
         for t in touched:
             for cur in dual[t]:
@@ -766,7 +787,8 @@ class _Reducer:
                         break
                     prev, cur = cur, nbrs[nbrs[0] == prev]
         for leaf in stale:
-            self._unwalk(leaf)
+            if leaf in walks:
+                self._unwalk(leaf)
             self._walk(leaf)
 
     def undo(self, dele: Iterable[int], gained: Iterable[Chord]) -> None:
@@ -793,11 +815,18 @@ class _Reducer:
         double dominated, and a member keeps a degree above 2."""
         adj = self.adjacency
         reasons = []
-        if any(w not in s and len(adj[w] & s) < 2 for w in window):
+        deg2 = []
+        short = False
+        for w in window:
+            if w in s:
+                if len(adj[w]) == 2:
+                    deg2.append(w)
+            elif len(adj[w] & s) < 2:
+                short = True
+        if short:
             reasons.append("not double dominating")
-        deg2 = sorted(w for w in window if w in s and len(adj[w]) == 2)
         if deg2:
-            reasons.append(f"contains degree-2 vertices {deg2}")
+            reasons.append(f"contains degree-2 vertices {sorted(deg2)}")
         if 2 * len(s) > n + k:
             reasons.append(f"size {len(s)} exceeds (n+k)/2 = {(n + k) / 2:g}")
         return reasons
@@ -825,7 +854,11 @@ def _reduce(
     n, k = r.n, r.k
     printed = _printed_check(rule.k_printed, r, labels, k)
     r.apply(dele, gained)
-    addback = frozenset(labels[x] for x in rule.addback)
+    addback = frozenset([labels[x] for x in rule.addback])
+    window = dele | addback
+    for a, b in gained:
+        window.add(a)
+        window.add(b)
     return _Level(
         rule=rule,
         labels=labels,
@@ -835,7 +868,7 @@ def _reduce(
         deleted=dele,
         gained=gained,
         addback=addback,
-        window=dele | addback | {v for e in gained for v in e},
+        window=window,
     )
 
 
@@ -843,7 +876,7 @@ def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
     """Apply the first candidate that fits, or end the reduce loop with a
     terminal (rule id, solution).  Raises NoRuleApplies if neither happens."""
     failures: list[str] = []
-    for rule, labels in _candidates(r.deviations(), r.site_groups()):
+    for rule, labels in _candidates(r):
         if rule.kind == "direct":
             s = {labels[x] for x in rule.direct}
             g, ids = r.level_graph()
@@ -901,7 +934,7 @@ def _pack(n: int, levels: list[_Level], sizes: list[int], end: str, k_end: int) 
         n=n,
         rules=tuple(table),
         keys=tuple(map(_shared_keys, keys)),
-        log=array("H" if n < 1 << 16 else "q", flat),
+        log=_id_array(n, flat),
     )
 
 
@@ -934,10 +967,10 @@ def _solve(g: MopGraph, k: int, permissive: bool) -> tuple[set[int], ReductionTr
     for level in reversed(levels):
         r.undo(level.deleted, level.gained)
         rule, labels = level.rule, level.labels
-        missing = sorted(labels[x] for x in rule.required if labels[x] not in s)
+        missing = [labels[x] for x in rule.required if labels[x] not in s]
         if missing:
             raise CertificationFailed(
-                f"n={level.n}: {rule.rule_id}: required vertices {missing} "
+                f"n={level.n}: {rule.rule_id}: required vertices {sorted(missing)} "
                 f"(input ids) not in sub-solution"
             )
         s |= level.addback
@@ -958,9 +991,10 @@ def solve_bound(g: MopGraph, *, permissive: bool = False) -> CertifiedResult:
     Every lift is re-checked where the reduction changed the graph, and the
     result is certified in full against g, so a returned result is always
     certified.  With ``permissive=True`` a graph the rule engine cannot
-    reduce falls back to the exact solver when it fits under the exact-size
-    limit; by default such graphs raise NoRuleApplies or CertificationFailed
-    instead, keeping the engine honest."""
+    reduce falls back to the exact solver, and is kept when the exact
+    minimum fits under the bound; by default such graphs raise
+    NoRuleApplies or CertificationFailed instead, keeping the engine
+    honest."""
     rep = bad_vertices(g)  # raises TooSmall for n < 4
     s, trace = _solve(g, rep.k, permissive)
     result = _certify(g, s, rep, trace)

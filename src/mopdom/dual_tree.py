@@ -16,9 +16,9 @@ reflection: mirror-image walks produce the same shape/deviation id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Any, Mapping
 
 from .errors import NotALeaf, PreconditionTooSmall
 from .graph_core import MopGraph
@@ -39,28 +39,34 @@ class DualTree:
     triangles: tuple[Triangle, ...]
     edges: tuple[tuple[int, int, tuple[int, int]], ...]  # (node, node, shared chord)
 
+    # ``dual`` and ``corners`` are the tables that :func:`match_branch_shape`
+    # reads; the constructive engine's state offers the same two.
+
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+    def dual(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each node, ascending."""
         nbr: list[list[int]] = [[] for _ in self.triangles]
         for i, j, _ in self.edges:
             nbr[i].append(j)
             nbr[j].append(i)
         return tuple(tuple(sorted(x)) for x in nbr)
 
-    # The walk interface read by :func:`match_branch_shape`; the constructive
-    # engine's mutable state offers the same three reads.
+    @cached_property
+    def corners(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted vertex triple of each node."""
+        return tuple(tri.vertices for tri in self.triangles)
 
     def vertices(self, node: int) -> tuple[int, int, int]:
         return self.triangles[node].vertices
 
     def neighbours(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
+        return self.dual[node]
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return len(self.dual[node])
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i, nbr in enumerate(self.adjacency) if len(nbr) == 1)
+        return tuple(i for i, nbr in enumerate(self.dual) if len(nbr) == 1)
 
 
 Vertices3 = tuple[int, int, int]
@@ -130,72 +136,65 @@ def dual_to_dot(t: DualTree, name: str = "dual") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+# The two roles of the chord by which a clean branch enters its anchor, by
+# the branch's distance.
+_ENTRY_CHORD_ROLES = {1: ("u2", "u3"), 2: ("u2", "u4"), 4: ("u4", "u6"), 6: ("u6", "u8")}
+
+
+@dataclass(slots=True)
 class BranchShape:
     """A clean leaf-to-anchor walk of length 1, 2, 4 or 6.  ``leaf`` and
-    ``anchor`` are node ids of the tree that was walked."""
+    ``anchor`` are nodes of the tree that was walked."""
 
-    leaf: int
-    anchor: int
+    leaf: Any
+    anchor: Any
     dist: int
-    labels: Mapping[str, int] = field(hash=False)
+    labels: Mapping[str, int]
 
     @property
     def entry_chord_roles(self) -> tuple[str, str]:
-        return {1: ("u2", "u3"), 2: ("u2", "u4"), 4: ("u4", "u6"), 6: ("u6", "u8")}[
-            self.dist
-        ]
+        return _ENTRY_CHORD_ROLES[self.dist]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deviation:
     """A walk that diverges from the clean shapes; ``variant`` selects the
     single-branch reduction that handles it."""
 
-    leaf: int
+    leaf: Any
     claim: int
     variant: str
-    witness_labels: Mapping[str, int] = field(hash=False)
+    witness_labels: Mapping[str, int]
 
 
-def _step(t, prev, cur):
-    """The neighbour of ``cur`` other than ``prev``.  A walk steps only from
-    nodes of degree at most 2, so there is one, and the order in which
-    ``neighbours`` lists them does not matter."""
-    for x in t.neighbours(cur):
-        if x != prev:
-            return x
-    raise AssertionError("walk ran off a path end; impossible for n >= 9 patterns")
-
-
-def _new(f: Vertices3, before: Vertices3) -> int:
-    """The vertex of triangle ``f`` that the adjacent ``before`` lacks."""
-    a, b, c = f
-    return a if a not in before else b if b not in before else c
-
-
-def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
+def match_branch_shape(g: MopGraph, t: DualTree, leaf):
     """Classify the walk from a dual-tree leaf.
 
     Returns a :class:`BranchShape` (anchor at distance 1, 2, 4 or 6) or a
     :class:`Deviation`.  Requires n >= 9 so that walk positions 2..6 cannot
     run off the far end of a path tree.
 
-    Only ``g.n`` and the tree's ``vertices``, ``neighbours`` and ``degree``
-    are read, so any object offering those can stand in for the graph and
-    its dual tree.  ``neighbours`` and ``degree`` are read at the first 7
-    nodes of the walk at most, and ``vertices`` at the first 8.
+    Only ``g.n`` and two tables of ``t`` are read, each by subscript:
+    ``t.dual`` gives the neighbours of a node, and ``t.corners`` its sorted
+    vertex triple, or is None when the nodes are their own vertex triples,
+    as in the constructive engine.  So any object offering those can stand
+    in for the graph and its :class:`DualTree`.  ``t.dual`` is read at the
+    first 7 nodes of the walk at most, and the vertices of the first 8.
+    A walk steps only from nodes of degree 2, to the neighbour it did not
+    come from, so the order of a node's neighbours does not matter.
     """
     if g.n < 9:
         raise PreconditionTooSmall(f"branch matching needs n >= 9, got {g.n}")
-    if t.degree(leaf) != 1:
-        raise NotALeaf(f"dual node {leaf} has degree {t.degree(leaf)}")
+    dual, corners = t.dual, t.corners
+    nb = dual[leaf]
+    if len(nb) != 1:
+        raise NotALeaf(f"dual node {leaf} has degree {len(nb)}")
 
     # t2 shares the chord {u2, u3} of the ear; u1, the ear's tip, is off it
-    # and is the ear's one degree-2 vertex.
-    f1 = t.vertices(leaf)
-    t2 = _step(t, None, leaf)
-    f2 = t.vertices(t2)
+    # and is the ear's one degree-2 vertex.  Each new label is the vertex of
+    # the next triangle that the one before it lacks.
+    t2 = nb[0]
+    f1, f2 = (leaf, t2) if corners is None else (corners[leaf], corners[t2])
     a, b, c = f1
     if a not in f2:
         u1, u2, u3 = a, b, c
@@ -203,20 +202,24 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
         u1, u2, u3 = b, a, c
     else:
         u1, u2, u3 = c, a, b
-    u4 = _new(f2, f1)
-    if t.degree(t2) == 3:
+    a, b, c = f2
+    u4 = a if a not in f1 else b if b not in f1 else c
+    nb = dual[t2]
+    if len(nb) == 3:
         return BranchShape(
             leaf=leaf, anchor=t2, dist=1, labels={"u1": u1, "u2": u2, "u3": u3, "u4": u4}
         )
 
     # t3: shares u4 and one of u2/u3; normalize so it is u2
-    t3 = _step(t, leaf, t2)
-    f3 = t.vertices(t3)
+    t3 = nb[0] if nb[0] != leaf else nb[1]
+    f3 = t3 if corners is None else corners[t3]
     if u3 in f3:
         u2, u3 = u3, u2
     assert u2 in f3 and u4 in f3
-    u5 = _new(f3, f2)
-    if t.degree(t3) == 3:
+    a, b, c = f3
+    u5 = a if a not in f2 else b if b not in f2 else c
+    nb = dual[t3]
+    if len(nb) == 3:
         return BranchShape(
             leaf=leaf,
             anchor=t3,
@@ -225,55 +228,63 @@ def match_branch_shape(g: MopGraph, t: DualTree, leaf: int):
         )
 
     # t4: {u4, u5} continues the clean walk, {u2, u5} deviates
-    t4 = _step(t, t2, t3)
-    f4 = t.vertices(t4)
-    u6 = _new(f4, f3)
+    t4 = nb[0] if nb[0] != t2 else nb[1]
+    f4 = t4 if corners is None else corners[t4]
+    a, b, c = f4
+    u6 = a if a not in f3 else b if b not in f3 else c
     base = {"u1": u1, "u2": u2, "u3": u3, "u4": u4, "u5": u5, "u6": u6}
+    nb = dual[t4]
     if u2 in f4 and u5 in f4:
-        variant = "C2-1" if t.degree(t4) == 3 else "C3"
+        variant = "C2-1" if len(nb) == 3 else "C3"
         return Deviation(leaf=leaf, claim=int(variant[1]), variant=variant, witness_labels=base)
     assert u4 in f4 and u5 in f4
-    if t.degree(t4) == 3:
+    if len(nb) == 3:
         return Deviation(leaf=leaf, claim=2, variant="C2-2", witness_labels=base)
 
     # t5: {u4, u6} continues, {u5, u6} deviates (claim 4, any degree)
-    t5 = _step(t, t3, t4)
-    f5 = t.vertices(t5)
-    u7 = base["u7"] = _new(f5, f4)
+    t5 = nb[0] if nb[0] != t3 else nb[1]
+    f5 = t5 if corners is None else corners[t5]
+    a, b, c = f5
+    u7 = base["u7"] = a if a not in f4 else b if b not in f4 else c
     if u5 in f5 and u6 in f5:
         return Deviation(leaf=leaf, claim=4, variant="C4", witness_labels=base)
     assert u4 in f5 and u6 in f5
-    if t.degree(t5) == 3:
+    nb = dual[t5]
+    if len(nb) == 3:
         return BranchShape(leaf=leaf, anchor=t5, dist=4, labels=base)
 
     # t6: {u6, u7} continues, {u4, u7} deviates (claim 5b, any degree)
-    t6 = _step(t, t4, t5)
-    f6 = t.vertices(t6)
-    u8 = base["u8"] = _new(f6, f5)
+    t6 = nb[0] if nb[0] != t4 else nb[1]
+    f6 = t6 if corners is None else corners[t6]
+    a, b, c = f6
+    u8 = base["u8"] = a if a not in f5 else b if b not in f5 else c
     if u4 in f6 and u7 in f6:
         return Deviation(leaf=leaf, claim=5, variant="C5b", witness_labels=base)
     assert u6 in f6 and u7 in f6
-    if t.degree(t6) == 3:
+    nb = dual[t6]
+    if len(nb) == 3:
         return Deviation(leaf=leaf, claim=5, variant="C5a", witness_labels=base)
 
     # t7: {u6, u8} continues, {u7, u8} deviates (claim 6a, any degree)
-    t7 = _step(t, t5, t6)
-    f7 = t.vertices(t7)
-    u9 = base["u9"] = _new(f7, f6)
+    t7 = nb[0] if nb[0] != t5 else nb[1]
+    f7 = t7 if corners is None else corners[t7]
+    a, b, c = f7
+    u9 = base["u9"] = a if a not in f6 else b if b not in f6 else c
     if u7 in f7 and u8 in f7:
         return Deviation(leaf=leaf, claim=6, variant="C6a", witness_labels=base)
     assert u6 in f7 and u8 in f7
-    d7 = t.degree(t7)
-    if d7 == 3:
+    nb = dual[t7]
+    if len(nb) == 3:
         return BranchShape(leaf=leaf, anchor=t7, dist=6, labels=base)
-    if d7 == 1:
+    if len(nb) == 1:
         # the dual tree is a 7-node path, so n = 9 exactly
         return Deviation(leaf=leaf, claim=6, variant="C6b", witness_labels=base)
 
     # t8: {u8, u9} -> claim 6c, {u6, u9} -> claim 6d (any degree)
-    t8 = _step(t, t6, t7)
-    f8 = t.vertices(t8)
-    base["u10"] = _new(f8, f7)
+    t8 = nb[0] if nb[0] != t6 else nb[1]
+    f8 = t8 if corners is None else corners[t8]
+    a, b, c = f8
+    base["u10"] = a if a not in f7 else b if b not in f7 else c
     if u8 in f8 and u9 in f8:
         return Deviation(leaf=leaf, claim=6, variant="C6c", witness_labels=base)
     assert u6 in f8 and u9 in f8

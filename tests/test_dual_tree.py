@@ -209,11 +209,11 @@ class ReductionSiteSelection(unittest.TestCase):
     def test_deviating_leaf_blocks_site_selection(self):
         g = build_mop(9, [(1, 8), (2, 8), (3, 8), (4, 6), (4, 8), (6, 8)])
         r = self.reducer(g)
-        devs = list(r.deviations())
+        devs = [r.walks[leaf] for leaf in sorted(r.walks) if isinstance(r.walks[leaf], Deviation)]
         self.assertTrue(devs)
         self.assertTrue(list(r.site_groups()))
         # a deviation takes precedence over the clean site the tree also has
-        _, labels = next(c._candidates(r.deviations(), r.site_groups()))
+        _, labels = next(c._candidates(r))
         self.assertEqual(labels, dict(devs[0].witness_labels))
 
     def test_triforce_site(self):
@@ -239,7 +239,7 @@ class ReductionSiteSelection(unittest.TestCase):
         g = build_mop(9, [(1, 8), (2, 4), (2, 8), (4, 6), (4, 8), (6, 8)])
         r = self.reducer(g)
         self.assertEqual([sh.leaf for sh in next(iter(r.site_groups()))], [(0, 1, 8), (2, 3, 4)])
-        rule, labels = next(c._candidates(r.deviations(), r.site_groups()))
+        rule, labels = next(c._candidates(r))
         _, sites = c.load_rules()
         self.assertIn(rule, sites[(1, 2)])
         self.assertEqual(rule.rule_id, "case_1_2c")

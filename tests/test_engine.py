@@ -183,6 +183,40 @@ def test_every_level_of_the_size_exact_miss_matches_the_oracles():
     assert check_every_level(g) > 0
 
 
+def test_soft_failures_count_what_to_obj_spells_out():
+    graphs = [g for n in range(9, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(n, seed) for n, seed in RANDOM_CASES]
+    graphs.append(build_mop(21, SIZE_EXACT_MISS))
+    total = {"telescope": 0, "size_exact": 0, "printed_k": 0}
+    for g in graphs:
+        trace = solve_bound(g).trace
+        steps = trace.to_obj()
+        want = {
+            "telescope": sum(not step["telescope_ok"] for step in steps),
+            "size_exact": sum(not step["size_exact"] for step in steps),
+            "printed_k": sum(step["printed_ok"] is False for step in steps),
+        }
+        assert trace.soft_failures() == want
+        for key in total:
+            total[key] += want[key]
+    assert total["size_exact"] >= 1 and total["printed_k"] > 0
+
+
+def test_engine_walks_through_the_traced_binding(monkeypatch):
+    # The benchmark counts leaf walks by patching this module attribute, so
+    # the engine must reach the classifier through it, once per walk.
+    calls = []
+    classify = c.match_branch_shape
+
+    def counted(*args):
+        calls.append(args[2])
+        return classify(*args)
+
+    monkeypatch.setattr(c, "match_branch_shape", counted)
+    res = solve_bound(random_mop(400, 0))
+    assert (len(calls), res.trace.depth) == (264, 151)
+
+
 # --- local MOP validity against reduce_graph ------------------------------------
 
 

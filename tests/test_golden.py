@@ -34,7 +34,7 @@ STRESS_DIGEST = "faad99c5e4f4fda8b640b755eee1a30a2d6a777bc34f9c07ac2134288256674
 RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
 # 6 larger graphs, where a reduction can invalidate leaf walks far from it.
 LARGE_CASES = [(200, 2000), (300, 2001), (400, 2002), (500, 2003), (650, 2004), (800, 2005)]
-# 40 fixed (n, seed) pairs with n cycling through 12..22, the exact-size limit.
+# 40 fixed (n, seed) pairs with n cycling through 12..22.
 EXACT_RANDOM_CASES = [(12 + i % 11, 3000 + i) for i in range(40)]
 EXACT_VARIANTS = [(mode, forbid) for mode in ("literal", "standard") for forbid in (False, True)]
 
