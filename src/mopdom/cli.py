@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .constructive import solve_bound
 from .domination import (
@@ -69,21 +68,36 @@ def _read_text(path: str) -> str:
         ) from exc
 
 
-def _parse_graphs(text: str) -> list[MopGraph]:
-    """One graph per non-blank line of NDJSON; ``#`` starts a comment line."""
-    graphs = []
-    for line in text.splitlines():
+def _parse_graphs(lines: Iterable[str]) -> Iterator[MopGraph]:
+    """One graph per non-blank line of NDJSON, parsed as it is read; ``#``
+    starts a comment line.  A bad line raises, naming its line number."""
+    found = False
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        graphs.append(from_json(line))
-    if not graphs:
+        try:
+            g = from_json(line)
+        except MopError as exc:
+            raise type(exc)(f"line {number}: {exc}") from exc
+        found = True
+        yield g
+    if not found:
         raise NotMaximalOuterplanar("input holds no graphs")
-    return graphs
 
 
-def _read_graphs(path: str) -> list[MopGraph]:
-    return _parse_graphs(_read_text(path))
+def _read_graphs(path: str) -> Iterator[MopGraph]:
+    """The graphs of an NDJSON file, or of stdin for ``-``, read line by line
+    so that memory stays flat in the input size.  Lines are split as
+    ``str.splitlines`` splits them."""
+    stdin = path == "-"
+    try:
+        with contextlib.nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as f:
+            yield from _parse_graphs(line for raw in f for line in raw.splitlines())
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _emit(obj: Any) -> None:
@@ -154,14 +168,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    graphs = _read_graphs(args.input)
-    if args.format == "csv":
-        print(csv_header())
-        for g in graphs:
-            print(to_csv_row(bound_report(g, with_exact=not args.no_exact)))
-    else:
-        for g in graphs:
-            _emit(bound_report(g, with_exact=not args.no_exact).to_obj())
+    csv = args.format == "csv"
+    for i, g in enumerate(_read_graphs(args.input)):
+        if csv and i == 0:
+            print(csv_header())
+        report = bound_report(g, with_exact=not args.no_exact)
+        print(to_csv_row(report) if csv else json.dumps(report.to_obj()))
     return 0
 
 
@@ -241,10 +253,13 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         return 2
     per_n: dict[int, dict[str, int]] = {}
     violations: list[dict[str, Any]] = []
-    with multiprocessing.Pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
-        if pool is None:
+    with contextlib.ExitStack() as stack:
+        if args.jobs == 1:
             results = map(_stress_one, _campaign(args))
         else:
+            import multiprocessing  # only a pool needs it, and it slows every start
+
+            pool = stack.enter_context(multiprocessing.Pool(args.jobs))
             count = args.random_count + sum(
                 catalan(n - 2) for n in range(args.n_min, args.n_max + 1)
             )
@@ -291,7 +306,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     if text.lstrip().startswith("{"):
-        graphs = _parse_graphs(text)
+        graphs = list(_parse_graphs(text.splitlines()))
     else:
         g, _ = recognize_mop(parse_edge_list(text))
         graphs = [g]

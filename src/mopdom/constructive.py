@@ -50,8 +50,9 @@ from .domination import (
 from .dual_tree import (
     BranchShape,
     Deviation,
+    Vertices3,
     build_dual_tree,  # noqa: F401 - not called here; the benchmark traces this binding
-    fan_triangles,
+    fan_dual,
     match_branch_shape,
 )
 from .errors import (
@@ -500,47 +501,37 @@ def _candidates(r: _Reducer) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
 
 # --- the engine ---------------------------------------------------------------
 
-Triangle = tuple[int, int, int]  # a triangle by its sorted vertex triple
-
 
 class _Reducer:
     """A MOP shrinking in place, in the vertex ids of the input graph.
 
-    It holds the outer cycle as ``nxt``/``prv`` links, the adjacency, the dual
-    tree with triangles keyed by their sorted vertex triple, the classified
-    walk of every leaf, and the count k of bad vertices.  Labels in each
-    level's own graph are not kept: the trace derives them from the vertex
-    ids.  ``n`` together with ``dual`` and ``corners`` (None: each node is
-    its own vertex triple) are the tables that :func:`match_branch_shape`
-    reads, so the walks are classified by the same code as on a
-    :class:`~mopdom.dual_tree.DualTree`.  Once a reduction leaves at most
-    ``BASE_MAX_N`` vertices, the loop ends, so the dual tree and the walks
-    are no longer kept up to date.
-    """
+    It holds the outer cycle as ``nxt``/``prv`` links, the adjacency and the
+    dual tree keyed by sorted vertex triples, both read off the fans in one
+    pass (:func:`~mopdom.dual_tree.fan_dual`) with no ``g.adjacency``, the
+    classified walk of every leaf, and the count k of bad vertices.  Labels
+    in each level's own graph are not kept: the trace derives them from the
+    vertex ids.  ``n`` together with ``dual`` and ``corners`` (None: each
+    node is its own vertex triple) are the tables that
+    :func:`match_branch_shape` reads, so the walks are classified by the
+    same code as on a :class:`~mopdom.dual_tree.DualTree`.  Once a reduction
+    leaves at most ``BASE_MAX_N`` vertices, the loop ends, so the dual tree
+    and the walks are no longer kept up to date."""
 
     corners = None
 
     def __init__(self, g: MopGraph, k: int) -> None:
-        n = g.n
-        self.n = n
+        self.n = n = g.n
         self.k = k
-        self.adjacency = [set(nb) for nb in g.adjacency]
+        self.adjacency, self.dual = fan_dual(g)
         self.nxt = [*range(1, n), 0]
         self.prv = [n - 1, *range(n - 1)]
         self._start = 0  # a surviving vertex
-        triangles, edges = fan_triangles(g)
-        dual: dict[Triangle, list[Triangle]] = {t: [] for t in triangles}
-        for i, j, _ in edges:
-            a, b = triangles[i], triangles[j]
-            dual[a].append(b)
-            dual[b].append(a)
-        self.dual = dual
-        self.walks: dict[Triangle, BranchShape | Deviation] = {}
-        self._deviating: list[Triangle] = []  # lazy heap of deviating leaves
-        self._at_anchor: dict[Triangle, set[Triangle]] = {}  # anchor -> clean leaves
-        self._anchors: list[Triangle] = []  # lazy heap of anchors with two or more
+        self.walks: dict[Vertices3, BranchShape | Deviation] = {}
+        self._deviating: list[Vertices3] = []  # lazy heap of deviating leaves
+        self._at_anchor: dict[Vertices3, set[Vertices3]] = {}  # anchor -> clean leaves
+        self._anchors: list[Vertices3] = []  # lazy heap of anchors with two or more
         if n > BASE_MAX_N:
-            for key, nbrs in dual.items():
+            for key, nbrs in self.dual.items():
                 if len(nbrs) == 1:
                     self._walk(key)
 
@@ -548,7 +539,7 @@ class _Reducer:
     # most, and the 8th only for its vertices, which never change; ``apply``
     # relies on that to find the walks it must redo.
 
-    def _walk(self, leaf: Triangle) -> None:
+    def _walk(self, leaf: Vertices3) -> None:
         res = self.walks[leaf] = match_branch_shape(self, self, leaf)
         if type(res) is Deviation:
             heappush(self._deviating, leaf)
@@ -558,7 +549,7 @@ class _Reducer:
             if len(group) == 2:
                 heappush(self._anchors, res.anchor)
 
-    def _unwalk(self, node: Triangle) -> None:
+    def _unwalk(self, node: Vertices3) -> None:
         """Forget the walk of ``node``, which has one."""
         res = self.walks.pop(node)
         if type(res) is BranchShape:
@@ -594,16 +585,15 @@ class _Reducer:
             ids.append(v)
             v = self.nxt[v]
         ids.sort()
-        label = {v: i for i, v in enumerate(ids)}
         n = len(ids)
+        label = dict(zip(ids, range(n)))
         chords = []
-        for a in ids:
-            la = label[a]
+        for la, a in enumerate(ids):
             for b in self.adjacency[a]:
-                lb = label[b]
-                if la < lb and lb - la not in (1, n - 1):
-                    chords.append((la, lb))
-        return MopGraph(n=n, chords=tuple(sorted(chords))), ids
+                if b > a and 1 < label[b] - la < n - 1:
+                    chords.append((la, label[b]))
+        chords.sort()
+        return MopGraph(n=n, chords=tuple(chords)), ids
 
     # -- one reduction
 
@@ -690,7 +680,7 @@ class _Reducer:
         adj, nxt, prv, dual, walks = self.adjacency, self.nxt, self.prv, self.dual, self.walks
         keep_tree = self.n - len(dele) > BASE_MAX_N
 
-        removed: set[Triangle] = set()
+        removed: set[Vertices3] = set()
         if keep_tree:
             for v in dele:
                 nb = adj[v]
@@ -738,7 +728,7 @@ class _Reducer:
         if not keep_tree:
             return
 
-        touched: set[Triangle] = set()
+        touched: set[Vertices3] = set()
         for t in removed:
             for u in dual.pop(t):
                 if u not in removed:
@@ -914,25 +904,18 @@ def _shared_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _pack(n: int, levels: list[_Level], sizes: list[int], end: str, k_end: int) -> ReductionTrace:
-    rules: dict[int, int] = {}  # id(rule) -> index; rules hold dicts, so are unhashable
-    table: list[ReductionRule | str] = []
+    rules: dict[int, tuple[int, ReductionRule]] = {}  # by id(): rules hold dicts, so are unhashable
     keys: dict[tuple[str, ...], int] = {}
     flat: list[int] = []
-
-    def rule_index(rule: ReductionRule | str) -> int:
-        if id(rule) not in rules:
-            rules[id(rule)] = len(table)
-            table.append(rule)
-        return rules[id(rule)]
-
     for level, size in zip(levels, sizes):
+        ri = rules.setdefault(id(level.rule), (len(rules), level.rule))[0]
         ki = keys.setdefault(tuple(level.labels), len(keys))
-        flat += (rule_index(level.rule), ki, level.k, size, _PRINTED.index(level.printed))
+        flat += (ri, ki, level.k, size, _PRINTED.index(level.printed))
         flat += level.labels.values()
-    flat += (rule_index(end), keys.setdefault((), len(keys)), k_end, sizes[-1], 0)
+    flat += (len(rules), keys.setdefault((), len(keys)), k_end, sizes[-1], 0)
     return ReductionTrace(
         n=n,
-        rules=tuple(table),
+        rules=(*[rule for _, rule in rules.values()], end),
         keys=tuple(map(_shared_keys, keys)),
         log=_id_array(n, flat),
     )

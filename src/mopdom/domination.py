@@ -49,27 +49,39 @@ def _as_mode(mode: DominationMode | str) -> DominationMode:
 # --- predicates ---------------------------------------------------------------
 
 
+def _support(g: MopGraph, s: Iterable[int], w: int) -> list[int]:
+    """|N(v) & S| for every v, plus ``w`` if v is in S, counted over the
+    cycle and ``g.chords``.  Ids outside 0..n-1 are no vertex: ignored."""
+    n = g.n
+    inside = [0] * n
+    count = [0] * n
+    for v in s:
+        if 0 <= v < n and not inside[v]:  # inside[-1] would alias n - 1
+            inside[v] = 1
+            count[v - 1] += 1
+            count[v] += w
+            count[v + 1 - n] += 1
+    for a, b in g.chords:
+        if inside[a]:
+            count[b] += 1
+        if inside[b]:
+            count[a] += 1
+    return count
+
+
 def coverage_counts(g: MopGraph, s: Iterable[int]) -> tuple[int, ...]:
     """|N[v] & S| for every v (closed neighbourhoods)."""
-    sset = set(s)
-    return tuple(
-        (1 if v in sset else 0) + sum(1 for w in g.adjacency[v] if w in sset)
-        for v in range(g.n)
-    )
+    return tuple(_support(g, s, 1))
 
 
 def is_double_dominating(
     g: MopGraph, s: Iterable[int], mode: DominationMode | str = DominationMode.literal
 ) -> bool:
     """Whether S double dominates g in the given mode: each vertex v, or in
-    literal mode each vertex outside S, has |N[v] & S| >= 2 (see
-    :func:`coverage_counts`)."""
-    m = _as_mode(mode)
-    sset = set(s)
-    adj = g.adjacency
-    if m is DominationMode.standard:
-        return all(len(adj[v] & sset) >= 2 - (v in sset) for v in range(g.n))
-    return all(v in sset or len(adj[v] & sset) >= 2 for v in range(g.n))
+    literal mode each vertex outside S, has |N[v] & S| >= 2, counted as in
+    :func:`coverage_counts`, but with a literal-mode member counted twice."""
+    standard = _as_mode(mode) is DominationMode.standard
+    return min(_support(g, s, 1 if standard else 2)) >= 2
 
 
 # --- bad vertices ---------------------------------------------------------------
@@ -93,10 +105,9 @@ def bad_vertices(g: MopGraph) -> BadVertexReport:
     if g.n < 4:
         raise TooSmall(f"bad vertices defined for n >= 4, got n={g.n}")
     deg2 = g.degree2_vertices()
-    t = len(deg2)
-    gaps = tuple((deg2[(i + 1) % t] - deg2[i]) % g.n for i in range(t))
-    bad = tuple(d >= 3 for d in gaps)
-    return BadVertexReport(deg2=deg2, succ_dist=gaps, bad=bad, t=t, k=sum(bad))
+    gaps = [(b - a) % g.n for a, b in zip(deg2, deg2[1:] + deg2[:1])]
+    bad = tuple([d >= 3 for d in gaps])
+    return BadVertexReport(deg2=deg2, succ_dist=tuple(gaps), bad=bad, t=len(deg2), k=sum(bad))
 
 
 # --- exact solver ---------------------------------------------------------------

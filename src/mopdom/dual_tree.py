@@ -70,59 +70,61 @@ class DualTree:
 
 
 Vertices3 = tuple[int, int, int]
-DualEdge = tuple[int, int, tuple[int, int]]  # (node, node, shared chord)
 
 
-def fan_triangles(g: MopGraph) -> tuple[list[Vertices3], list[DualEdge]]:
-    """The triangles as sorted vertex triples, and the dual edges, read off
-    the fan of each vertex in O(n).
+def fan_dual(g: MopGraph) -> tuple[list[set[int]], dict[Vertices3, list[Vertices3]]]:
+    """The adjacency sets, and the dual tree keyed by sorted vertex triples,
+    from the fan of each vertex in one O(n) pass.
 
-    Taken in ascending order, the neighbours ``w > a`` of a vertex ``a`` fan
-    across the polygon, and each consecutive pair ``(b, c)`` closes the
-    triangle ``(a, b, c)``.  Every triangle is found once, at its smallest
-    vertex, so the triangles come out sorted.  Neighbouring triangles of a
-    fan share the chord ``(a, b)``.  A side ``(b, c)`` that is a chord is
-    shared with the last triangle of ``b``'s fan, since ``c`` is ``b``'s
-    largest neighbour (a chord from ``b`` past ``c`` would cross ``(a, c)``).
-    Each vertex's chords are emitted in ascending order, so the edges come
-    out sorted by chord."""
-    n = g.n
+    Taken in ascending order, the neighbours ``w > a`` of ``a`` fan across
+    the polygon: each consecutive pair ``(b, c)`` closes the triangle
+    ``(a, b, c)``, found at its smallest vertex only, so the triangles come
+    out sorted.  Triangles next in a fan share the chord ``(a, b)``.  A side
+    ``(b, c)`` that is a chord is shared with the last triangle of ``b``'s
+    fan: ``c`` is ``b``'s largest neighbour, as a chord from ``b`` past ``c``
+    would cross ``(a, c)``.  Chords are met in ascending order, and each
+    triangle lists its neighbours in that order."""
     fans = g.higher_neighbours()
-
-    triangles: list[Vertices3] = []
-    edges: list[DualEdge] = []
-    outer = [-1] * n  # the triangle beyond the last chord of each fan
+    adj = [*map(set, fans), set()]
+    dual: dict[Vertices3, list[Vertices3]] = {}
+    outer: list[Vertices3 | None] = [None] * g.n  # the triangle past each fan's last chord
     for a, fan in enumerate(fans):
         b = fan[0]
-        for j in range(1, len(fan)):
-            c = fan[j]
-            i = len(triangles)
-            if j > 1:
-                edges.append((i - 1, i, (a, b)))
+        adj[b].add(a)
+        t = None
+        for c in fan[1:]:
+            adj[c].add(a)
+            u = (a, b, c)
+            dual[u] = [t] if t else []
+            if t:
+                dual[t].append(u)
             if c - b > 1:
-                outer[b] = i
-            triangles.append((a, b, c))
-            b = c
-        if outer[a] >= 0:
-            edges.append((outer[a], len(triangles) - 1, (a, b)))
-    assert len(triangles) == n - 2 and len(edges) == n - 3
-    return triangles, edges
+                outer[b] = u
+            t, b = u, c
+        o = outer[a]
+        if o:
+            dual[o].append(t)
+            dual[t].append(o)
+    return adj, dual
 
 
 def build_dual_tree(g: MopGraph) -> DualTree:
-    """Construct the dual tree from the fan of each vertex, in O(n)
-    (:func:`fan_triangles`).  A side of a triangle ``(a, b, c)`` lies on
-    the outer cycle for each of ``b = a + 1``, ``c = b + 1`` and
-    ``(a, c) = (0, n - 1)`` that holds: two make an ear, one a side
-    triangle, none an internal one."""
+    """The dual tree of :func:`fan_dual`, its edges sorted by shared chord.
+    A side of a triangle ``(a, b, c)`` lies on the outer cycle for each of
+    ``b = a + 1``, ``c = b + 1`` and ``(a, c) = (0, n - 1)`` that holds: two
+    make an ear, one a side triangle, none an internal one."""
     n = g.n
-    triangles, edges = fan_triangles(g)
+    _, dual = fan_dual(g)
+    index = {t: i for i, t in enumerate(dual)}
     tris = []
-    for a, b, c in triangles:
+    for a, b, c in dual:
         cyc = (b - a == 1) + (c - b == 1) + (a == 0 and c == n - 1)
         kind = EAR if cyc >= 2 else SIDE if cyc == 1 else INTERNAL
         tris.append(Triangle(vertices=(a, b, c), kind=kind))
-    return DualTree(triangles=tuple(tris), edges=tuple(edges))
+    # t < u lists each edge once, in index order, as the triangles are sorted
+    edges = [(index[t], index[u], tuple([x for x in t if x in u]))
+             for t, nbrs in dual.items() for u in nbrs if t < u]
+    return DualTree(triangles=tuple(tris), edges=tuple(sorted(edges, key=lambda e: e[2])))
 
 
 def dual_to_dot(t: DualTree, name: str = "dual") -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BadParameter, UnknownFixture
 from .graph_core import Chord, MopGraph, _unchecked, build_mop
@@ -66,9 +66,23 @@ def fixture_names() -> tuple[str, ...]:
 # --- enumeration ---------------------------------------------------------------
 
 
-def _regions(lo: int, hi: int) -> Iterator[tuple[Chord, ...]]:
+_LISTED = 9  # arcs of at most this many edges have at most Catalan(8) = 1430 chord sets
+
+
+def _regions(lo: int, hi: int, listed: dict) -> Iterable[tuple[Chord, ...]]:
     """Chord sets of all triangulations of the polygon arc lo..hi closed by
-    the edge (lo, hi)."""
+    the edge (lo, hi).  An arc of at most _LISTED edges is walked once per
+    enumeration and kept in ``listed``; a longer one is walked again for
+    each chord set on its left, so that memory stays small."""
+    if hi - lo > _LISTED:
+        return _walk_regions(lo, hi, listed)
+    got = listed.get((lo, hi))
+    if got is None:
+        got = listed[lo, hi] = list(_walk_regions(lo, hi, listed))
+    return got
+
+
+def _walk_regions(lo: int, hi: int, listed: dict) -> Iterator[tuple[Chord, ...]]:
     if hi - lo < 2:
         yield ()
         return
@@ -78,9 +92,10 @@ def _regions(lo: int, hi: int) -> Iterator[tuple[Chord, ...]]:
             extra.append((lo, apex))
         if hi - apex > 1:
             extra.append((apex, hi))
-        for left in _regions(lo, apex):
-            for right in _regions(apex, hi):
-                yield left + right + tuple(extra)
+        tail = tuple(extra)
+        for left in _regions(lo, apex, listed):
+            for right in _regions(apex, hi, listed):
+                yield left + right + tail
 
 
 def catalan(i: int) -> int:
@@ -96,7 +111,7 @@ def enumerate_all(n: int, dedup: bool = False) -> Iterator[MopGraph]:
         raise BadParameter(f"enumerate_all supports 3 <= n <= {MAX_ENUMERATE_N}, got {n}")
     from .graph_core import canonical_form
 
-    for chords in _regions(0, n - 1):
+    for chords in _regions(0, n - 1, {}):
         g = _unchecked(n, chords)
         if dedup and canonical_form(g)[0].chords != g.chords:
             continue

@@ -80,14 +80,15 @@ class MopGraph:
         return up
 
     def degree2_vertices(self) -> tuple[int, ...]:
-        """Vertices of degree 2, ascending.  These are exactly the vertices
-        that appear in no chord."""
-        return self._degree2
-
-    @cached_property
-    def _degree2(self) -> tuple[int, ...]:
-        in_chord = {v for chord in self.chords for v in chord}
-        return tuple(v for v in range(self.n) if v not in in_chord)
+        """Vertices of degree 2, ascending: those in no chord.  Kept on the
+        instance, without the lock of ``cached_property``."""
+        deg2 = self.__dict__.get("_degree2")
+        if deg2 is None:
+            free = [True] * self.n
+            for a, b in self.chords:
+                free[a] = free[b] = False
+            deg2 = self.__dict__["_degree2"] = tuple([v for v in range(self.n) if free[v]])
+        return deg2
 
 
 def _normalize_chord(n: int, pair: Sequence[int]) -> Chord:

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +158,34 @@ def test_solve_non_utf8_input_is_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not UTF-8" in captured.err
+
+
+def test_bad_line_is_named_after_earlier_records(capsys, monkeypatch):
+    # Graphs are read line by line: the first record is printed before the
+    # bad third line is read, and the error names that line.
+    seen = []
+
+    class Stdin:
+        def __iter__(self):
+            yield to_json(snake(6)) + "\n"
+            yield "# a comment\n"
+            seen.append(capsys.readouterr().out)
+            yield '{"n": 5, "chords": [[0, 2]]}\n'
+
+    monkeypatch.setattr("sys.stdin", Stdin())
+    assert run(["solve"]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(x)["n"] for x in seen[0].splitlines()] == [6]
+    assert captured.out == ""
+    assert captured.err == "error: line 3: n=5 needs 2 chords, got 1\n"
+
+
+def test_import_leaves_multiprocessing_out():
+    # Only `stress --jobs N` with N > 1 needs a pool; every other start
+    # skips the import.
+    code = "import sys, mopdom.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- exact ---------------------------------------------------------------

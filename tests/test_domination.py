@@ -66,6 +66,30 @@ def test_predicate_matches_coverage_counts(case):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(graph_and_subset(), st.sets(st.sampled_from(["low", "n", "far"]), min_size=1))
+def test_ids_outside_the_graph_are_ignored(case, picks):
+    # -1, n and n + 5 are no vertex: they count for nobody, in either mode.
+    # -1 in particular must not alias vertex n - 1.
+    g, s = case
+    extra = {{"low": -1, "n": g.n, "far": g.n + 5}[p] for p in picks}
+    assert coverage_counts(g, s | extra) == coverage_counts(g, s)
+    for mode in ("literal", "standard"):
+        assert is_double_dominating(g, s | extra, mode) == is_double_dominating(g, s, mode)
+
+
+def test_minus_one_is_not_the_last_vertex():
+    g = snake(6)  # vertex 5, which -1 would alias, completes {1, 3, 4} in literal mode
+    s = [1, 3, 4]
+    assert not is_double_dominating(g, s, "literal")
+    assert is_double_dominating(g, s + [5], "literal")
+    for ids in ([-1], [6], [11], [-1, 6, 11]):
+        assert coverage_counts(g, ids) == (0,) * 6
+        assert coverage_counts(g, s + ids) == coverage_counts(g, s)
+        for mode in ("literal", "standard"):
+            assert not is_double_dominating(g, s + ids, mode)
+
+
 def test_literal_ignores_members_standard_does_not():
     g = snake(6)
     # (0, 1, 3) leaves member 0 with a single supporter
@@ -106,6 +130,24 @@ def test_bad_vertices_gaps_wrap_and_sum():
             assert rep.k == sum(rep.bad) <= rep.t
             for gap, b in zip(rep.succ_dist, rep.bad):
                 assert b == (gap >= 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 60), st.integers(0, 2**32))
+def test_degree2_and_bad_vertices_match_a_degree_count(n, seed):
+    g = random_mop(n, seed)
+    degree = [2] * n
+    for a, b in g.chords:
+        degree[a] += 1
+        degree[b] += 1
+    deg2 = tuple(v for v in range(n) if degree[v] == 2)
+    assert g.degree2_vertices() == deg2
+    assert g.degree2_vertices() is g.degree2_vertices()
+    rep = bad_vertices(g)
+    gaps = tuple((deg2[(i + 1) % len(deg2)] - v) % n for i, v in enumerate(deg2))
+    assert (rep.deg2, rep.succ_dist, rep.t) == (deg2, gaps, len(deg2))
+    assert rep.bad == tuple(d >= 3 for d in gaps)
+    assert rep.k == sum(d >= 3 for d in gaps)
 
 
 def test_bad_vertices_known_graphs():

@@ -77,9 +77,31 @@ def test_engine_dual_tree_matches_build_dual_tree():
             t.vertices(i): {t.vertices(j) for j in t.neighbours(i)}
             for i in range(len(t.triangles))
         }
-        dual = c._Reducer(g, bad_vertices(g).k).dual
-        assert all(len(set(nbrs)) == len(nbrs) for nbrs in dual.values())
-        assert {key: set(nbrs) for key, nbrs in dual.items()} == want
+        r = c._Reducer(g, bad_vertices(g).k)
+        assert all(len(set(nbrs)) == len(nbrs) for nbrs in r.dual.values())
+        assert {key: set(nbrs) for key, nbrs in r.dual.items()} == want
+        assert r.adjacency == [set(nb) for nb in g.adjacency]
+        assert r.nxt == [(v + 1) % g.n for v in range(g.n)]
+        assert r.prv == [(v - 1) % g.n for v in range(g.n)]
+
+
+def test_solve_builds_no_adjacency_cache():
+    # The engine reads the fans and certify counts from the chords, so a
+    # solve leaves MopGraph.adjacency unbuilt.
+    graphs = [g for n in range(9, 12) for g in enumerate_all(n)]
+    graphs.append(random_mop(400, 0))
+    for g in graphs:
+        assert solve_bound(g).certified
+        assert "adjacency" not in vars(g)
+
+
+def test_prewarmed_adjacency_changes_nothing():
+    for n, seed in [*RANDOM_CASES, (400, 0)]:
+        cold, warm = random_mop(n, seed), random_mop(n, seed)
+        warm.adjacency
+        a, b = solve_bound(cold), solve_bound(warm)
+        assert a.to_obj() == b.to_obj()
+        assert a.trace.to_obj() == b.trace.to_obj()
 
 
 def check_level(r):
