@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from importlib import resources
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from operator import attrgetter, index
+from typing import Any, Iterable, Iterator, Mapping
 
 from .domination import (
     BadVertexReport,
@@ -63,6 +64,7 @@ from .errors import (
     RuleMismatch,
     TooLarge,
     TooSmall,
+    VertexOutOfRange,
 )
 from .graph_core import Chord, MopGraph, VertexSet, reduce_graph
 
@@ -281,7 +283,8 @@ def certify(
 ) -> CertifiedResult:
     """Check a solution against the graph alone, independent of its origin:
     literal double domination, no degree-2 members, size within (n + k)/2.
-    Vertex ids outside 0..n-1 are reported, and must fit in 64 bits."""
+    Vertex ids outside 0..n-1 are reported; an id that is not an integer
+    (2.7, '2') or not within signed 64 bits raises VertexOutOfRange."""
     return _certify(g, solution, bad_vertices(g), trace)
 
 
@@ -289,11 +292,16 @@ def _certify(
     g: MopGraph, solution: Iterable[int], rep: BadVertexReport, trace: ReductionTrace | None
 ) -> CertifiedResult:
     """:func:`certify` with the bad-vertex report of g already counted."""
-    sol = frozenset(map(int, solution))
+    try:
+        sol = frozenset(map(index, solution))
+    except TypeError as exc:
+        raise VertexOutOfRange(f"vertex ids must be integers: {exc}") from exc
     members = sorted(sol)
     reasons: list[str] = []
     stray = bool(members) and (members[0] < 0 or members[-1] >= g.n)
     if stray:
+        if members[0] < -(1 << 63) or members[-1] >= 1 << 63:
+            raise VertexOutOfRange(f"a vertex id in {members[0]}..{members[-1]} exceeds 64 bits")
         outside = [v for v in members if not 0 <= v < g.n]
         reasons.append(f"vertices {outside} outside 0..{g.n - 1}")
     elif not is_double_dominating(g, sol, DominationMode.literal):
@@ -343,13 +351,7 @@ def base_case_solve(g: MopGraph) -> VertexSet:
 # --- rule application ---------------------------------------------------------------
 
 
-def _resolve(labels: Mapping[str, int], roles: Iterable[str]) -> list[int]:
-    try:
-        return [labels[r] for r in roles]
-    except KeyError as exc:
-        raise RuleMismatch(
-            f"rule needs label {exc.args[0]!r} but the walk did not provide it"
-        ) from exc
+_MISSING_LABEL = "rule needs label {!r} but the walk did not provide it"
 
 
 def apply_rule(
@@ -364,40 +366,31 @@ def apply_rule(
     must agree with."""
     if rule.kind == "direct":
         raise RuleMismatch("direct rules emit a solution, not a reduction")
-    delete = _resolve(labels, rule.delete)
-    chords = [tuple(_resolve(labels, pair)) for pair in rule.add_chords]
+    try:
+        delete = [labels[x] for x in rule.delete]
+        chords = [(labels[a], labels[b]) for a, b in rule.add_chords]
+    except KeyError as exc:
+        raise RuleMismatch(_MISSING_LABEL.format(exc.args[0])) from exc
     return reduce_graph(g, delete, chords)
 
 
 def _printed_check(
-    spec: Mapping[str, Any] | None,
-    r: _Reducer,
-    labels: Mapping[str, int],
-    k_before: int,
-) -> Callable[[int], bool] | None:
-    """The k movement the rule declares, as a test of k after the reduction;
-    None if not stated.  Read before the reduction edits the graph."""
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "eq":
-        return lambda k: k == k_before + int(spec["delta"])
-    if kind == "le":
-        return lambda k: k <= k_before + int(spec["delta"])
+    spec: Mapping[str, Any] | None, r: _Reducer, labels: Mapping[str, int], k_before: int
+) -> tuple[str | None, int]:
+    """The k movement the rule declares: k after the reduction must equal x
+    (``("eq", x)``) or be at most x (``("le", x)``); kind None if not stated."""
+    kind = spec.get("kind") if spec else None
+    if kind == "eq" or kind == "le":
+        return kind, k_before + int(spec["delta"])
     if kind == "conditional":
         # k drops by one exactly when the outer-cycle neighbour of the pivot
         # away from the branch has degree 2 in the unreduced graph.
-        pivot = labels.get(spec["pivot"])
-        other = labels.get(spec["other"])
-        if pivot is None or other is None:
-            return None
-        cand = {r.prv[pivot], r.nxt[pivot]} - {other}
-        if len(cand) != 1:
-            return None
-        successor = cand.pop()
-        expect = k_before - 1 if len(r.adjacency[successor]) == 2 else k_before
-        return lambda k: k == expect
-    return None
+        pivot, other = labels.get(spec["pivot"]), labels.get(spec["other"])
+        if pivot is not None and other is not None:
+            cand = {r.prv[pivot], r.nxt[pivot]} - {other}
+            if len(cand) == 1:
+                return "eq", k_before - (len(r.adjacency[cand.pop()]) == 2)
+    return None, 0
 
 
 # --- candidate enumeration ---------------------------------------------------------
@@ -405,98 +398,106 @@ def _printed_check(
 
 # Role names of the second branch; shared strings keep retained traces small.
 _V_ROLE = {f"u{i}": f"v{i}" for i in range(1, 11)}
-
-
-def _rename_to_v(labels: Mapping[str, int]) -> dict[str, int]:
-    return {_V_ROLE[key]: val for key, val in labels.items()}
-
-
-def _normalize_d1(
-    labels: dict[str, int], shared_role: str, want: str
-) -> tuple[dict[str, int], str]:
-    """For a distance-1 branch the two non-ear labels are interchangeable;
-    swap them so the shared vertex carries the wanted role."""
-    if shared_role == want:
-        return labels, shared_role
-    out = dict(labels)
-    out["u2"], out["u3"] = labels["u3"], labels["u2"]
-    return out, want
+_PAIR_ORDER = attrgetter("dist", "leaf")
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # of an anchor's clean walks, at most 3 (its degree)
+_Candidate = tuple[ReductionRule, Mapping[str, int]]
 
 
 def _shared_roles(a: BranchShape, b: BranchShape) -> tuple[str, str] | None:
-    ea = {a.labels[r]: r for r in a.entry_chord_roles}
-    eb = {b.labels[r]: r for r in b.entry_chord_roles}
-    common = set(ea) & set(eb)
-    if len(common) != 1:
-        return None
-    x = common.pop()
-    return ea[x], eb[x]
+    """The roles in a and b of the one vertex their entry chords share, or None."""
+    (a1, a2), (b1, b2) = a.entry_chord_roles, b.entry_chord_roles
+    x, y, p, q = a.labels[a1], a.labels[a2], b.labels[b1], b.labels[b2]
+    if x == p or x == q:
+        return None if y == p or y == q else (a1, b1 if x == p else b2)
+    return (a2, b1) if y == p else (a2, b2) if y == q else None
 
 
-def _pair_candidate(
-    a: BranchShape, b: BranchShape
-) -> tuple[ReductionRule, dict[str, int]] | None:
+def _pair_candidate(a: BranchShape, b: BranchShape) -> _Candidate | None:
     """Match a pair of clean branches at one anchor to a site rule.
 
-    The caller passes the shorter branch first (``a.dist <= b.dist``), and
-    it plays s; at equal distances both orders are tried, since the manifest
-    keeps only one of each symmetric configuration."""
+    The shorter branch comes first (``a.dist <= b.dist``) and plays s; at
+    equal distances both orders are tried, since the manifest keeps only one
+    of each symmetric configuration.  The labels are s's, then t's renamed to
+    v, with a distance-1 branch's two interchangeable non-ear labels swapped
+    so that the shared vertex is u3 or v2."""
     _, sites = load_rules()
-    orders = [(a, b), (b, a)] if a.dist == b.dist else [(a, b)]
-    for s, t in orders:
+    for s, t in ((a, b), (b, a)) if a.dist == b.dist else ((a, b),):
         roles = _shared_roles(s, t)
         if roles is None:
             continue
         role_s, role_t = roles
-        s_labels = dict(s.labels)
-        t_labels = dict(t.labels)
-        if s.dist == 1:
-            s_labels, role_s = _normalize_d1(s_labels, role_s, "u3")
-        if t.dist == 1:
-            t_labels, role_t = _normalize_d1(t_labels, role_t, "u2")
-        config = (role_s, "v" + role_t[1:])
+        swap_s = s.dist == 1 and role_s == "u2"
+        swap_t = t.dist == 1 and role_t == "u3"
+        config = ("u3" if swap_s else role_s, "v2" if swap_t else _V_ROLE[role_t])
         for rule in sites.get((s.dist, t.dist), ()):
             if rule.shared == config:
-                merged = dict(s_labels)
-                merged.update(_rename_to_v(t_labels))
+                merged = dict(s.labels)
+                if swap_s:
+                    merged["u2"], merged["u3"] = merged["u3"], merged["u2"]
+                for key, val in t.labels.items():
+                    merged[_V_ROLE[key]] = val
+                if swap_t:
+                    merged["v2"], merged["v3"] = merged["v3"], merged["v2"]
                 return rule, merged
     return None
 
 
-def _candidates(r: _Reducer) -> Iterator[tuple[ReductionRule, dict[str, int]]]:
+def _site_pair(group: list[BranchShape], start: int = 0) -> tuple[int, _Candidate] | None:
+    """The first of ``_PAIRS[start:]`` that matches a site rule, as (index,
+    candidate), on one anchor's clean walks sorted by (distance, leaf)."""
+    for p in range(start, len(group) * (len(group) - 1) // 2):
+        i, j = _PAIRS[p]
+        cand = _pair_candidate(group[i], group[j])
+        if cand is not None:
+            return p, cand
+    return None
+
+
+def _first_candidate(r: _Reducer) -> _Candidate | None:
+    """What :func:`_candidates` yields first, by plain calls: the smallest
+    deviating leaf's candidate, else the first pair at the smallest anchor
+    that matches a site rule; None if that leaf or anchor has none."""
+    walks, heap = r.walks, r._deviating
+    while heap and type(walks.get(heap[0])) is not Deviation:
+        heappop(heap)
+    if heap:
+        dev = walks[heap[0]]
+        rule = load_rules()[0].get(dev.variant)
+        return None if rule is None else (rule, dev.witness_labels)
+    shapes = r.first_site_group()
+    hit = shapes and _site_pair(sorted(shapes, key=_PAIR_ORDER))
+    return hit[1] if hit else None
+
+
+def _candidates(r: _Reducer) -> Iterator[_Candidate]:
     """Reduction candidates of one level in deterministic order.
 
     Any deviating leaf walk takes precedence, smallest leaf first; only
     when every leaf walk is clean are two-branch sites offered, smallest
     anchor first (:meth:`_Reducer.site_groups`), pairs ordered by
-    (distance, leaf index).  The smallest deviating leaf is read off the
-    top of its heap; the rest, which a level seldom asks for, are sorted on
-    demand.  Candidates are produced lazily, so a level whose first
-    candidate applies reads one walk."""
-    deviations, _ = load_rules()
+    (distance, leaf index).  :func:`_first_candidate` gives the first; the
+    rest, which a level seldom asks for, are sorted and matched on demand."""
+    first = _first_candidate(r)
+    if first is not None:
+        yield first
     walks, heap = r.walks, r._deviating
-    while heap and type(walks.get(heap[0])) is not Deviation:
-        heappop(heap)
-    if heap:
-        first = heap[0]
-        dev = walks[first]
-        rule = deviations.get(dev.variant)
-        if rule is not None:
-            yield rule, dev.witness_labels
-        for leaf in sorted({x for x in heap if x != first and type(walks.get(x)) is Deviation}):
+    if heap:  # its top is the smallest deviating leaf
+        deviations, _ = load_rules()
+        for leaf in sorted({x for x in heap if x != heap[0] and type(walks.get(x)) is Deviation}):
             dev = walks[leaf]
             rule = deviations.get(dev.variant)
             if rule is not None:
                 yield rule, dev.witness_labels
         return
-
+    skip = first is not None  # the first pair that matches below is ``first``
     for shapes in r.site_groups():
-        group = sorted(shapes, key=lambda sh: (sh.dist, sh.leaf))
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                cand = _pair_candidate(group[i], group[j])
-                if cand is not None:
-                    yield cand
+        group = sorted(shapes, key=_PAIR_ORDER)
+        p = -1
+        while hit := _site_pair(group, p + 1):
+            p, cand = hit
+            if not skip:
+                yield cand
+            skip = False
 
 
 # --- the engine ---------------------------------------------------------------
@@ -558,19 +559,19 @@ class _Reducer:
             if not group:
                 del self._at_anchor[res.anchor]
 
-    def site_groups(self) -> Iterator[list[BranchShape]]:
-        """The clean walks of each anchor that collects at least two,
-        ascending by anchor.  The smallest anchor is read off the top of its
-        heap; the rest, which a level seldom asks for, are sorted on
-        demand."""
-        at, walks, heap = self._at_anchor, self.walks, self._anchors
+    def first_site_group(self) -> list[BranchShape] | None:
+        """The clean walks of the smallest anchor that collects at least
+        two, read off the top of its heap; None if no anchor does."""
+        at, heap = self._at_anchor, self._anchors
         while heap and len(at.get(heap[0], ())) < 2:
             heappop(heap)
-        if not heap:
-            return
-        first = heap[0]
-        yield [walks[leaf] for leaf in at[first]]
-        for anchor in sorted({a for a in heap if a != first and len(at.get(a, ())) >= 2}):
+        return [self.walks[leaf] for leaf in at[heap[0]]] if heap else None
+
+    def site_groups(self) -> Iterator[list[BranchShape]]:
+        """The clean walks of each anchor that collects at least two,
+        ascending by anchor (read past the first only if it yields no step)."""
+        at, walks = self._at_anchor, self.walks
+        for anchor in sorted({a for a in self._anchors if len(at.get(a, ())) >= 2}):
             yield [walks[leaf] for leaf in at[anchor]]
 
     # -- the level's graph
@@ -597,9 +598,7 @@ class _Reducer:
 
     # -- one reduction
 
-    def plan(
-        self, delete: Iterable[int], chords: Iterable[Chord]
-    ) -> tuple[set[int], list[Chord]]:
+    def plan(self, delete: Iterable[int], chords: Iterable[Chord]) -> tuple[set[int], list[Chord]]:
         """Decide, without editing, whether deleting ``delete`` and adding
         ``chords`` leaves a MOP, exactly as :func:`reduce_graph` decides it.
 
@@ -616,7 +615,11 @@ class _Reducer:
         if n2 < 3:
             raise ResultNotMaximalOuterplanar(f"only {n2} vertices would survive")
         gained: set[Chord] = set()
+        ends = inner = 0  # edge ends at deleted vertices; those on both ends
         for v in dele:
+            nb = adj[v]
+            ends += len(nb)
+            inner += len(nb & dele)
             if prv[v] not in dele:
                 a, b = prv[v], nxt[v]
                 while b in dele:
@@ -636,11 +639,6 @@ class _Reducer:
                 if pair not in gained:
                     added.append(pair)
                 gained.add(pair)
-        ends = inner = 0  # edge ends at deleted vertices; those on both ends
-        for v in dele:
-            nb = adj[v]
-            ends += len(nb)
-            inner += len(nb & dele)
         m2 = 2 * self.n - 3 - (ends - inner // 2) + len(gained)
         if m2 != 2 * n2 - 3:
             raise ResultNotMaximalOuterplanar(f"n={n2} needs {n2 - 3} chords, got {m2 - n2}")
@@ -838,35 +836,24 @@ class _Level:
     window: set[int]  # where the lift is checked: deleted, gained ends, addback
 
 
-def _reduce(
-    r: _Reducer, rule: ReductionRule, labels: dict[str, int], dele: set[int], gained: list[Chord]
-) -> _Level:
-    n, k = r.n, r.k
-    printed = _printed_check(rule.k_printed, r, labels, k)
-    r.apply(dele, gained)
-    addback = frozenset([labels[x] for x in rule.addback])
-    window = dele | addback
-    for a, b in gained:
-        window.add(a)
-        window.add(b)
-    return _Level(
-        rule=rule,
-        labels=labels,
-        n=n,
-        k=k,
-        printed=None if printed is None else printed(r.k),
-        deleted=dele,
-        gained=gained,
-        addback=addback,
-        window=window,
-    )
-
-
 def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
     """Apply the first candidate that fits, or end the reduce loop with a
-    terminal (rule id, solution).  Raises NoRuleApplies if neither happens."""
+    terminal (rule id, solution); raise NoRuleApplies if neither happens.
+    Only if :func:`_first_candidate` gives none that fits is the rest of
+    :func:`_candidates` tried."""
     failures: list[str] = []
-    for rule, labels in _candidates(r):
+    cand = _first_candidate(r)
+    rest = None if cand is not None else _candidates(r)
+    while True:
+        if cand is None:
+            if rest is None:  # the first candidate did not fit: go on past it
+                rest = _candidates(r)
+                next(rest)
+            cand = next(rest, None)
+            if cand is None:
+                break
+        rule, labels = cand
+        cand = None
         if rule.kind == "direct":
             s = {labels[x] for x in rule.direct}
             g, ids = r.level_graph()
@@ -876,16 +863,29 @@ def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
             failures.append(f"{rule.rule_id}: {'; '.join(check.reasons)}")
             continue
         try:
-            delete = _resolve(labels, rule.delete)
-            chords = [tuple(_resolve(labels, pair)) for pair in rule.add_chords]
+            delete = [labels[x] for x in rule.delete]
+            chords = [(labels[a], labels[b]) for a, b in rule.add_chords]
+            addback = frozenset([labels[x] for x in rule.addback])
+        except KeyError as exc:
+            failures.append(f"{rule.rule_id}: {_MISSING_LABEL.format(exc.args[0])}")
+            continue
+        try:
             dele, gained = r.plan(delete, chords)
-        except (RuleMismatch, ResultNotMaximalOuterplanar) as exc:
+        except ResultNotMaximalOuterplanar as exc:
             failures.append(f"{rule.rule_id}: {exc}")
             continue
-        if r.n - len(dele) < 4:
-            failures.append(f"{rule.rule_id}: reduction leaves only n={r.n - len(dele)}")
+        n, k = r.n, r.k
+        if n - len(dele) < 4:
+            failures.append(f"{rule.rule_id}: reduction leaves only n={n - len(dele)}")
             continue
-        return _reduce(r, rule, labels, dele, gained)
+        kind, want = _printed_check(rule.k_printed, r, labels, k)
+        r.apply(dele, gained)
+        printed = None if kind is None else r.k == want if kind == "eq" else r.k <= want
+        window = dele | addback
+        for a, b in gained:
+            window.add(a)
+            window.add(b)
+        return _Level(rule, labels, n, k, printed, dele, gained, addback, window)
 
     if permissive:
         g, ids = r.level_graph()

@@ -27,7 +27,7 @@ class DuplicateOrDegenerateChord(MopError):
 
 
 class VertexOutOfRange(MopError):
-    """A vertex label is outside 0..n-1."""
+    """A vertex label is outside 0..n-1, or is not an integer at all."""
 
 
 class NotMaximalOuterplanar(MopError):

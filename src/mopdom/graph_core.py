@@ -330,17 +330,24 @@ def canonical_form(g: MopGraph) -> tuple[MopGraph, dict[int, int]]:
     smallest over all 2n rotations/reflections, plus the vertex map that
     achieves it.  Ties are broken by the smallest (reflection, rotation)
     pair, so the map is deterministic.
+
+    For n >= 4 some ear's two neighbours can be sent to (0, 2), so every
+    smallest tuple starts with the chord (0, 2).  Only the 2t transforms
+    that do so are scanned: for each degree-2 vertex v, the rotation by
+    v - 1 and the reflection x -> v + 1 - x.  For n = 3 they include the
+    identity, and every transform ties.
     """
     n = g.n
+    deg2 = g.degree2_vertices()
     best: tuple[Chord, ...] | None = None
-    best_rr: tuple[int, int] | None = None
-    for refl in (0, 1):
-        for rot in range(n):
+    best_rr = (0, 0)
+    for refl, shift in ((0, -1), (1, 1)):
+        for rot in sorted((v + shift) % n for v in deg2):
             cand = _transformed_chords(n, g.chords, rot, bool(refl))
             if best is None or cand < best:
                 best = cand
                 best_rr = (refl, rot)
-    assert best is not None and best_rr is not None
+    assert best is not None
     refl, rot = best_rr
     if refl:
         mapping = {v: (rot - v) % n for v in range(n)}

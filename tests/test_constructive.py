@@ -16,6 +16,7 @@ from mopdom import (
     RuleMismatch,
     TooLarge,
     TooSmall,
+    VertexOutOfRange,
     apply_rule,
     bad_vertices,
     base_case_solve,
@@ -176,6 +177,19 @@ class TestCertify:
     def test_rejects_out_of_range(self):
         res = certify(snake(6), [1, 2, 4, 9])
         assert not res.certified and "outside" in res.reasons[0]
+
+    @pytest.mark.parametrize("stray", [-1, 6, 11, -(2**63), 2**63 - 1])
+    def test_reports_stray_ids_that_fit_in_64_bits(self, stray):
+        res = certify(snake(6), [1, 2, 4, 5, stray])
+        assert not res.certified
+        assert res.reasons[0] == f"vertices [{stray}] outside 0..5"
+
+    @pytest.mark.parametrize("bad", [2.7, "2", 2**70, -(2**63) - 1, 2**63])
+    def test_rejects_ids_that_are_not_vertices(self, bad):
+        # int() would read 2.7 and '2' as vertex 2, and 2**70 overflows the
+        # packed members array
+        with pytest.raises(VertexOutOfRange):
+            certify(snake(6), [1, bad, 4, 5])
 
     def test_to_obj(self):
         obj = certify(snake(6), [1, 2, 4, 5]).to_obj()

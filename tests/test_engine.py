@@ -4,7 +4,9 @@ At every level of every graph checked, the engine's graph relabelled by rank
 must equal ``apply_rule``'s, its leaf walks must equal a full rebuild's, its
 bad-vertex count must equal ``bad_vertices``, and the trace's step for the
 level must carry the level's labels by rank.  The dual tree it starts from
-must equal ``build_dual_tree``'s.  At every lift, the local
+must equal ``build_dual_tree``'s.  The level's candidates must come in the
+documented order, read off the walks alone, and the engine's plain-call
+pick must be the first of them.  At every lift, the local
 lift check must give the verdict ``certify`` gives on that level's graph,
 also when one window vertex is dropped from the lifted set or added to it,
 and the trace's soft checks must match a count taken from the reference
@@ -13,6 +15,8 @@ check to ``reduce_graph``.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +108,76 @@ def test_prewarmed_adjacency_changes_nothing():
         assert a.trace.to_obj() == b.trace.to_obj()
 
 
+def _reference_shared_roles(a, b):
+    ea = {a.labels[r]: r for r in a.entry_chord_roles}
+    eb = {b.labels[r]: r for r in b.entry_chord_roles}
+    common = set(ea) & set(eb)
+    if len(common) != 1:
+        return None
+    x = common.pop()
+    return ea[x], eb[x]
+
+
+def _reference_normalize_d1(labels, shared_role, want):
+    if shared_role == want:
+        return labels, shared_role
+    out = dict(labels)
+    out["u2"], out["u3"] = labels["u3"], labels["u2"]
+    return out, want
+
+
+def _reference_pair_candidate(a, b):
+    """The site-pair matcher as it was written with label dicts copied."""
+    _, sites = c.load_rules()
+    orders = [(a, b), (b, a)] if a.dist == b.dist else [(a, b)]
+    for s, t in orders:
+        roles = _reference_shared_roles(s, t)
+        if roles is None:
+            continue
+        role_s, role_t = roles
+        s_labels = dict(s.labels)
+        t_labels = dict(t.labels)
+        if s.dist == 1:
+            s_labels, role_s = _reference_normalize_d1(s_labels, role_s, "u3")
+        if t.dist == 1:
+            t_labels, role_t = _reference_normalize_d1(t_labels, role_t, "u2")
+        config = (role_s, "v" + role_t[1:])
+        for rule in sites.get((s.dist, t.dist), ()):
+            if rule.shared == config:
+                merged = dict(s_labels)
+                merged.update({"v" + key[1:]: val for key, val in t_labels.items()})
+                return rule, merged
+    return None
+
+
+def _reference_candidates(r):
+    """Every candidate of a level in the documented order, from the walks
+    alone: deviating leaves ascending; else anchors ascending, each with its
+    pairs of clean walks ordered by (distance, leaf)."""
+    deviations, _ = c.load_rules()
+    walks = r.walks
+    devs = sorted(leaf for leaf, w in walks.items() if not isinstance(w, BranchShape))
+    if devs:
+        return [(deviations[walks[leaf].variant], walks[leaf].witness_labels) for leaf in devs]
+    groups = {}
+    for w in walks.values():
+        groups.setdefault(w.anchor, []).append(w)
+    out = []
+    for anchor in sorted(groups):
+        group = sorted(groups[anchor], key=lambda sh: (sh.dist, sh.leaf))
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                cand = _reference_pair_candidate(group[i], group[j])
+                if cand is not None:
+                    out.append(cand)
+    return out
+
+
+def _items(cand):
+    """A candidate with its labels as a list, so that key order counts."""
+    return None if cand is None else (cand[0], list(cand[1].items()))
+
+
 def check_level(r):
     g, ids = r.level_graph()
     assert r.n == g.n
@@ -121,6 +195,11 @@ def check_every_level(g):
     misses = {"telescope": 0, "size_exact": 0}
     cur, ids = check_level(r)
     while r.n > c.BASE_MAX_N:
+        # The candidates come in the documented order, and the plain-call
+        # pick is the first of them.
+        cands = [_items(x) for x in c._candidates(r)]
+        assert cands == [_items(x) for x in _reference_candidates(r)]
+        assert _items(c._first_candidate(r)) == (cands[0] if cands else None)
         step = c._next_step(r, permissive=False)
         if not isinstance(step, c._Level):
             _, s = step
@@ -237,6 +316,72 @@ def test_engine_walks_through_the_traced_binding(monkeypatch):
     monkeypatch.setattr(c, "match_branch_shape", counted)
     res = solve_bound(random_mop(400, 0))
     assert (len(calls), res.trace.depth) == (264, 151)
+
+
+# --- candidate selection ----------------------------------------------------------
+
+
+def test_a_failed_first_candidate_gives_way_to_the_next_in_order(monkeypatch):
+    # No benchmark graph reaches this path: there, plan never rejects the
+    # first candidate.  Reject plan's first call at one deviation level and
+    # one site level that offer a second candidate, and check that the
+    # engine takes that one.
+    plan = c._Reducer.plan
+    seen = set()
+    graphs = [random_mop(n, seed) for n, seed in RANDOM_CASES]
+    graphs += [g for n in range(10, 12) for g in enumerate_all(n)]
+    for g in graphs:
+        r = c._Reducer(g, bad_vertices(g).k)
+        while r.n > c.BASE_MAX_N and seen != {"deviation", "site"}:
+            cands = list(c._candidates(r))
+            kind = cands[0][0].kind
+            if kind not in seen and len(cands) > 1 and cands[1][0].kind == kind:
+                rule, labels = cands[1]
+                dele, _ = r.plan([labels[x] for x in rule.delete],
+                                 [(labels[a], labels[b]) for a, b in rule.add_chords])
+                if r.n - len(dele) >= 4:
+                    calls = []
+
+                    def reject_first(self, delete, chords):
+                        calls.append(sorted(delete))
+                        if len(calls) == 1:
+                            raise ResultNotMaximalOuterplanar("rejected by the test")
+                        return plan(self, delete, chords)
+
+                    monkeypatch.setattr(c._Reducer, "plan", reject_first)
+                    step = c._next_step(r, permissive=False)
+                    monkeypatch.undo()
+                    first_rule, first_labels = cands[0]
+                    assert calls[0] == sorted(first_labels[x] for x in first_rule.delete)
+                    assert len(calls) == 2
+                    assert (step.rule, list(step.labels.items())) == _items(cands[1])
+                    seen.add(kind)
+                    break
+            step = c._next_step(r, permissive=False)
+            if not isinstance(step, c._Level):
+                break
+        if seen == {"deviation", "site"}:
+            break
+    assert seen == {"deviation", "site"}
+
+
+def test_site_pairs_match_the_reference_matcher():
+    pairs = matched = 0
+    for n in range(9, 12):
+        for g in enumerate_all(n):
+            r = c._Reducer(g, bad_vertices(g).k)
+            for group in r.site_groups():
+                for a, b in permutations(group, 2):
+                    assert c._shared_roles(a, b) == _reference_shared_roles(a, b)
+                    if a.dist > b.dist:
+                        continue
+                    want = _reference_pair_candidate(a, b)
+                    got = c._pair_candidate(a, b)
+                    assert _items(got) == _items(want)
+                    assert want is None or got[0] is want[0]
+                    pairs += 1
+                    matched += want is not None
+    assert pairs > 1000 and matched > 500
 
 
 # --- local MOP validity against reduce_graph ------------------------------------

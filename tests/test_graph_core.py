@@ -317,6 +317,30 @@ def test_canonical_is_idempotent_and_dihedral():
         assert same_up_to_relabelling(g, canon)
 
 
+def _canonical_by_full_scan(g):
+    """canonical_form's reference: all 2n rotations and reflections, the
+    smallest chord tuple winning, ties to the smallest (reflection, rotation)."""
+    n = g.n
+    best, best_rr = None, None
+    for refl in (0, 1):
+        for rot in range(n):
+            cand = graph_core._transformed_chords(n, g.chords, rot, bool(refl))
+            if best is None or cand < best:
+                best, best_rr = cand, (refl, rot)
+    refl, rot = best_rr
+    mapping = {v: ((rot - v) if refl else (v - rot)) % n for v in range(n)}
+    return MopGraph(n=n, chords=best), mapping
+
+
+def test_canonical_form_equals_the_full_scan():
+    graphs = [g for n in range(3, 12) for g in enumerate_all(n)]
+    graphs += [fan(40), snake(41)]
+    graphs += [random_mop(n, seed) for n in (12, 13, 25, 64, 150, 300) for seed in range(4)]
+    for g in graphs:
+        assert canonical_form(g) == _canonical_by_full_scan(g)
+    assert canonical_form(build_mop(3, [])) == (build_mop(3, []), {0: 0, 1: 1, 2: 2})
+
+
 def test_same_up_to_relabelling_distinguishes():
     a = build_mop(6, [(0, 2), (0, 3), (0, 4)])  # fan-like
     b = snake(6)
