@@ -133,8 +133,9 @@ _STEP_KEYS = (
     "rule", "n_before", "k_before", "n_after", "k_after", "labels", "deleted",
     "added_back", "size_after_lift", "telescope_ok", "size_exact", "printed_ok",
 )
-_PRINTED = (None, False, True)  # printed_ok by its code in the packed log
-_HEAD = 5  # fixed fields of a packed step, before its label values
+_PRINTED = (None, False, True)  # printed_ok by the low two verdict bits
+_TELESCOPE, _SIZE_EXACT = 4, 8  # the other verdict bits
+_HEAD = 4  # fixed fields of a packed step, before its label values
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,16 @@ class ReductionTrace:
     """The steps of one solve, outermost reduction first, kept packed.
 
     ``log`` holds one record per step: the index of its rule in ``rules``,
-    the index of its label keys in ``keys``, k before the step, the solution
-    size after its lift, its printed-k verdict as an index into
-    ``(None, False, True)``, then its label values as vertex ids of the
-    input.  The last step is terminal: its ``rules`` entry is the rule id
-    (``base_case``, ``exact_fallback`` or a direct rule), and it has no
-    labels.  ``n`` is the input's vertex count; each step's labels
-    in its own graph, n_after, deleted, added_back, telescope_ok and
-    size_exact follow from the rest, and ``to_obj`` spells each step out as
+    k before the step, the solution size after its lift and its soft-check
+    verdicts, then its label values as vertex ids of the input, one for each
+    of its rule's label roles in ``keys`` (parallel to ``rules``).  The
+    verdicts are bits: the low two give printed-k as an index into
+    ``(None, False, True)``, and ``_TELESCOPE`` and ``_SIZE_EXACT`` are set
+    when those checks hold.  The last step is terminal: its ``rules`` entry
+    is the rule id (``base_case``, ``exact_fallback`` or a direct rule), it
+    has no labels, and both check bits are set.  ``n`` is the input's vertex
+    count; each step's labels in its own graph, n_after, deleted and
+    added_back follow from the rest, and ``to_obj`` spells each step out as
     a dict."""
 
     n: int
@@ -161,7 +164,7 @@ class ReductionTrace:
         log, keys, i = self.log, self.keys, 0
         while i < len(log):
             yield i
-            i += _HEAD + len(keys[log[i + 1]])
+            i += _HEAD + len(keys[log[i]])
 
     def _fields(self) -> Iterator[tuple]:
         """The fields of every step, in ``_STEP_KEYS`` order, derived from the
@@ -172,25 +175,20 @@ class ReductionTrace:
         heads = list(self._heads())
         gone: list[int] = []  # ids deleted by earlier steps, ascending
         for pos, i in enumerate(heads):
-            rule = self.rules[log[i]]
-            k, size = log[i + 2], log[i + 3]
+            rule, k, size, verdict = self.rules[log[i]], log[i + 1], log[i + 2], log[i + 3]
+            checks = bool(verdict & _TELESCOPE), bool(verdict & _SIZE_EXACT), _PRINTED[verdict & 3]
             if isinstance(rule, str):
-                yield (rule, n, k, n, k, {}, (), (), size, True, True, None)
+                yield (rule, n, k, n, k, {}, [], [], size, *checks)
                 continue
-            keys = self.keys[log[i + 1]]
+            keys = self.keys[log[i]]
             ids = dict(zip(keys, log[i + _HEAD : i + _HEAD + len(keys)]))
             labels = {r: v - bisect_left(gone, v) for r, v in ids.items()}
-            nxt = heads[pos + 1]
-            k2, size2 = log[nxt + 2], log[nxt + 3]
-            deleted = tuple(sorted(labels[r] for r in rule.delete))
-            added_back = tuple(sorted({labels[r] for r in rule.addback}))
             dele = {ids[r] for r in rule.delete}
             n2 = n - len(dele)
             yield (
-                rule.rule_id, n, k, n2, k2, labels, deleted, added_back, size,
-                (n - n2) + (k - k2) >= 2 * len(added_back),
-                size == size2 + len(added_back),
-                _PRINTED[log[i + 4]],
+                rule.rule_id, n, k, n2, log[heads[pos + 1] + 1], labels,
+                sorted(labels[r] for r in rule.delete),
+                sorted({labels[r] for r in rule.addback}), size, *checks,
             )
             for v in dele:
                 insort(gone, v)
@@ -199,26 +197,18 @@ class ReductionTrace:
     @property
     def depth(self) -> int:
         """Number of reduction steps (the terminal base/direct step excluded)."""
-        return max(sum(1 for _ in self._heads()) - 1, 0)
+        return sum(1 for _ in self._heads()) - 1
 
     def soft_failures(self) -> dict[str, int]:
         """How many steps fail each soft check of ``to_obj``, counted from
-        the log alone: a step removes as many vertices as the distinct ids
-        it deletes and adds back the distinct ids of its addback, and k and
-        the sizes are stored.  The terminal step fails none."""
-        log, keys, rules = self.log, self.keys, self.rules
+        the verdict bits.  The terminal step fails none."""
+        log = self.log
         telescope = size_exact = printed_k = 0
-        i = 0
-        while not isinstance(rule := rules[log[i]], str):
-            roles = keys[log[i + 1]]
-            j = i + _HEAD + len(roles)
-            ids = dict(zip(roles, log[i + _HEAD : j]))
-            back = len({ids[r] for r in rule.addback})
-            shrink = len({ids[r] for r in rule.delete}) + log[i + 2] - log[j + 2]
-            telescope += shrink < 2 * back
-            size_exact += log[i + 3] != log[j + 3] + back
-            printed_k += _PRINTED[log[i + 4]] is False
-            i = j
+        for i in self._heads():
+            verdict = log[i + 3]
+            telescope += not verdict & _TELESCOPE
+            size_exact += not verdict & _SIZE_EXACT
+            printed_k += verdict & 3 == 1
         return {"telescope": telescope, "size_exact": size_exact, "printed_k": printed_k}
 
     def rule_ids(self) -> tuple[str, ...]:
@@ -229,11 +219,7 @@ class ReductionTrace:
         )
 
     def to_obj(self) -> list[dict[str, Any]]:
-        return [
-            {key: list(val) if isinstance(val, tuple) else val
-             for key, val in zip(_STEP_KEYS, fields)}
-            for fields in self._fields()
-        ]
+        return [dict(zip(_STEP_KEYS, fields)) for fields in self._fields()]
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())
@@ -829,7 +815,7 @@ class _Level:
     labels: dict[str, int]  # vertex ids
     n: int
     k: int
-    printed: bool | None
+    printed: tuple[str | None, int]  # the declared k movement; see _printed_check
     deleted: set[int]
     gained: list[Chord]
     addback: frozenset[int]
@@ -878,9 +864,8 @@ def _next_step(r: _Reducer, permissive: bool) -> _Level | tuple[str, set[int]]:
         if n - len(dele) < 4:
             failures.append(f"{rule.rule_id}: reduction leaves only n={n - len(dele)}")
             continue
-        kind, want = _printed_check(rule.k_printed, r, labels, k)
+        printed = _printed_check(rule.k_printed, r, labels, k)
         r.apply(dele, gained)
-        printed = None if kind is None else r.k == want if kind == "eq" else r.k <= want
         window = dele | addback
         for a, b in gained:
             window.add(a)
@@ -904,21 +889,35 @@ def _shared_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _pack(n: int, levels: list[_Level], sizes: list[int], end: str, k_end: int) -> ReductionTrace:
-    rules: dict[int, tuple[int, ReductionRule]] = {}  # by id(): rules hold dicts, so are unhashable
-    keys: dict[tuple[str, ...], int] = {}
+    """Pack the steps with their soft-check verdicts (see ReductionTrace), and
+    each rule's label roles once: RuleMismatch if a later level's differ."""
+    index: dict[int, int] = {}  # by id(): rules hold dicts, so are unhashable
+    rules: list[ReductionRule | str] = []
+    keys: list[tuple[str, ...]] = []
     flat: list[int] = []
-    for level, size in zip(levels, sizes):
-        ri = rules.setdefault(id(level.rule), (len(rules), level.rule))[0]
-        ki = keys.setdefault(tuple(level.labels), len(keys))
-        flat += (ri, ki, level.k, size, _PRINTED.index(level.printed))
-        flat += level.labels.values()
-    flat += (len(rules), keys.setdefault((), len(keys)), k_end, sizes[-1], 0)
-    return ReductionTrace(
-        n=n,
-        rules=(*[rule for _, rule in rules.values()], end),
-        keys=tuple(map(_shared_keys, keys)),
-        log=_id_array(n, flat),
-    )
+    k_after = [level.k for level in levels[1:]] + [k_end]
+    for level, size, size2, k2 in zip(levels, sizes, sizes[1:], k_after):
+        rule, labels, k = level.rule, level.labels, level.k
+        roles = tuple(labels)
+        ri = index.setdefault(id(rule), len(rules))
+        if ri == len(rules):
+            rules.append(rule)
+            keys.append(_shared_keys(roles))
+        elif keys[ri] != roles:
+            raise RuleMismatch(f"{rule.rule_id}: label roles {roles} after {keys[ri]}")
+        back = len(level.addback)
+        kind, want = level.printed
+        verdict = 0 if kind is None else 1 + (k2 == want if kind == "eq" else k2 <= want)
+        if len(level.deleted) + k - k2 >= 2 * back:  # (n - n') + (k - k') >= 2 |addback|
+            verdict |= _TELESCOPE
+        if size == size2 + back:  # the lift grew by exactly the addback
+            verdict |= _SIZE_EXACT
+        flat += (ri, k, size, verdict)
+        flat += labels.values()
+    flat += (len(rules), k_end, sizes[-1], _TELESCOPE | _SIZE_EXACT)
+    rules.append(end)
+    keys.append(())
+    return ReductionTrace(n=n, rules=tuple(rules), keys=tuple(keys), log=_id_array(n, flat))
 
 
 def _solve(g: MopGraph, k: int, permissive: bool) -> tuple[set[int], ReductionTrace]:

@@ -182,10 +182,13 @@ def test_bad_line_is_named_after_earlier_records(capsys, monkeypatch):
 
 def test_import_leaves_multiprocessing_out():
     # Only `stress --jobs N` with N > 1 needs a pool; every other start
-    # skips the import.
-    code = "import sys, mopdom.cli; sys.exit('multiprocessing' in sys.modules)"
+    # skips the import.  Every process pays for what the import pulls in,
+    # and numpy and scipy, installed as test extras, would show here.
+    slow = ("multiprocessing", "concurrent.futures", "asyncio", "numpy", "scipy")
+    code = f"import sys, mopdom.cli; print([m for m in {slow!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
 
 
 # --- exact ---------------------------------------------------------------

@@ -245,8 +245,8 @@ class TestSolveBound:
         assert sys.getrecursionlimit() == limit
 
     def test_result_footprint(self):
-        # Memory a caller keeps per result, the input graph excluded; about
-        # 5.3 KB on Python 3.11.  The caches are warmed by a first solve.
+        # Memory a caller keeps per result, the input graph excluded; 5 136 B
+        # on Python 3.11.  The caches are warmed by a first solve.
         g = random_mop(400, 0)
         g.adjacency
         solve_bound(g)

@@ -233,12 +233,16 @@ class ReductionSiteSelection(unittest.TestCase):
         s, t, *_ = self.first_group(g)
         self.assertEqual((s.dist, t.dist), (6, 6))
 
-        # the anchor (2, 4, 8) reads the dist-2 leaf (0, 1, 8) before the
-        # dist-1 leaf (2, 3, 4); _candidates must still pair the dist-1 leaf
-        # as s, which only the 1-2 rules match
+        # the anchor (2, 4, 8) collects the dist-2 leaf (0, 1, 8), the smaller
+        # leaf, and the dist-1 leaf (2, 3, 4); ordered by (distance, leaf), as
+        # _candidates pairs them, the dist-1 leaf comes first and plays s,
+        # which only the 1-2 rules match
         g = build_mop(9, [(1, 8), (2, 4), (2, 8), (4, 6), (4, 8), (6, 8)])
         r = self.reducer(g)
-        self.assertEqual([sh.leaf for sh in next(iter(r.site_groups()))], [(0, 1, 8), (2, 3, 4)])
+        group = next(iter(r.site_groups()))
+        self.assertEqual({sh.leaf for sh in group}, {(0, 1, 8), (2, 3, 4)})
+        ordered = sorted(group, key=c._PAIR_ORDER)
+        self.assertEqual([(sh.dist, sh.leaf) for sh in ordered], [(1, (2, 3, 4)), (2, (0, 1, 8))])
         rule, labels = next(c._candidates(r))
         _, sites = c.load_rules()
         self.assertIn(rule, sites[(1, 2)])

@@ -9,13 +9,14 @@ documented order, read off the walks alone, and the engine's plain-call
 pick must be the first of them.  At every lift, the local
 lift check must give the verdict ``certify`` gives on that level's graph,
 also when one window vertex is dropped from the lifted set or added to it,
-and the trace's soft checks must match a count taken from the reference
-graphs and the lifted sets.  A property test holds the local MOP-validity
-check to ``reduce_graph``.
+and the trace's soft checks, the declared k movement included, must match
+a count taken from the reference graphs and the lifted sets.  A property
+test holds the local MOP-validity check to ``reduce_graph``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from mopdom import (
     BranchShape,
     ResultNotMaximalOuterplanar,
+    RuleMismatch,
     apply_rule,
     bad_vertices,
     base_case_solve,
@@ -41,6 +43,8 @@ from mopdom import constructive as c
 
 # The fixed random set of tests/test_golden.py.
 RANDOM_CASES = [(20 + (130 * i) // 19, 1000 + i) for i in range(20)]
+# The larger graphs of tests/test_golden.py.
+LARGE_CASES = [(200, 2000), (300, 2001), (400, 2002), (500, 2003), (650, 2004), (800, 2005)]
 # The chords of the one graph whose lift misses size_exact in the strict
 # campaign of tests/test_golden.py (`random/145/n21`).
 SIZE_EXACT_MISS = [
@@ -187,12 +191,30 @@ def check_level(r):
     return g, ids
 
 
+def printed_ok(spec, cur, after, labels):
+    """Whether the k movement that ``spec`` declares holds from cur to after
+    (labels in cur); None if it declares none or cannot be evaluated."""
+    kind = spec.get("kind") if spec else None
+    k_cur, k_after = bad_vertices(cur).k, bad_vertices(after).k
+    if kind in ("eq", "le"):
+        want = k_cur + spec["delta"]
+        return k_after == want if kind == "eq" else k_after <= want
+    if kind == "conditional" and spec["pivot"] in labels and spec["other"] in labels:
+        # k drops by one exactly when the pivot's cycle neighbour other than
+        # ``other`` has degree 2 in cur.
+        pivot = labels[spec["pivot"]]
+        away = {(pivot - 1) % cur.n, (pivot + 1) % cur.n} - {labels[spec["other"]]}
+        if len(away) == 1:
+            return k_after == k_cur - (len(cur.adjacency[away.pop()]) == 2)
+    return None
+
+
 def check_every_level(g):
     trace = solve_bound(g).trace
     steps = trace.to_obj()
     r = c._Reducer(g, bad_vertices(g).k)
     levels = []
-    misses = {"telescope": 0, "size_exact": 0}
+    misses = {"telescope": 0, "size_exact": 0, "printed_k": 0}
     cur, ids = check_level(r)
     while r.n > c.BASE_MAX_N:
         # The candidates come in the documented order, and the plain-call
@@ -227,8 +249,12 @@ def check_every_level(g):
         shrink = (cur.n - after.n) + (bad_vertices(cur).k - bad_vertices(after).k)
         telescope = shrink >= 2 * len(step.addback)
         assert traced["telescope_ok"] is telescope
+        # The declared k movement, from the reference graphs alone.
+        printed = printed_ok(step.rule.k_printed, cur, after, labels)
+        assert traced["printed_ok"] is printed
         levels.append((step, cur, ids, after, after_ids))
         misses["telescope"] += not telescope
+        misses["printed_k"] += printed is False
         cur, ids = after, after_ids
     else:
         s = {ids[i] for i in base_case_solve(cur)}
@@ -261,8 +287,7 @@ def check_every_level(g):
             reduced = sub ^ ({w} & set(after_ids))
             if certify(after, [after_rank[v] for v in reduced]).certified:
                 assert local(s ^ {w}) == full(s ^ {w}), (step.rule.rule_id, w)
-    soft = trace.soft_failures()
-    assert {key: soft[key] for key in misses} == misses
+    assert trace.soft_failures() == misses
     return len(levels)
 
 
@@ -301,6 +326,38 @@ def test_soft_failures_count_what_to_obj_spells_out():
         for key in total:
             total[key] += want[key]
     assert total["size_exact"] >= 1 and total["printed_k"] > 0
+
+
+def engine_levels(g):
+    """The levels the engine applies to g, outermost first."""
+    r = c._Reducer(g, bad_vertices(g).k)
+    levels = []
+    while r.n > c.BASE_MAX_N and isinstance(step := c._next_step(r, permissive=False), c._Level):
+        levels.append(step)
+    return levels
+
+
+def test_each_rule_keeps_one_order_of_label_roles():
+    # The packed trace keeps a rule's label roles once, from its first level.
+    graphs = [g for n in range(9, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(n, seed) for n, seed in RANDOM_CASES + LARGE_CASES]
+    roles = {}
+    for g in graphs:
+        for level in engine_levels(g):
+            got = tuple(level.labels)
+            assert roles.setdefault(id(level.rule), got) == got, level.rule.rule_id
+        trace = solve_bound(g).trace
+        assert len(trace.keys) == len(trace.rules) and trace.keys[-1] == ()
+        assert all(trace.keys[i] == roles[id(rule)] for i, rule in enumerate(trace.rules[:-1]))
+    assert len(roles) == 27  # rule objects applied (26 rule ids)
+
+
+def test_pack_rejects_a_rule_with_two_orders_of_label_roles():
+    n, seed = RANDOM_CASES[0]
+    level = engine_levels(random_mop(n, seed))[0]
+    flipped = replace(level, labels=dict(reversed(level.labels.items())))
+    with pytest.raises(RuleMismatch, match=level.rule.rule_id):
+        c._pack(n, [level, flipped], [3, 2, 1], "base_case", level.k)
 
 
 def test_engine_walks_through_the_traced_binding(monkeypatch):
