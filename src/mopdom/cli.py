@@ -170,9 +170,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     csv = args.format == "csv"
     for i, g in enumerate(_read_graphs(args.input)):
-        if csv and i == 0:
-            print(csv_header())
         report = bound_report(g, with_exact=not args.no_exact)
+        if csv and i == 0:  # only once a row follows it
+            print(csv_header())
         print(to_csv_row(report) if csv else json.dumps(report.to_obj()))
     return 0
 

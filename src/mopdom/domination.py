@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import Infeasible, TooSmall
 from .graph_core import MopGraph
@@ -394,57 +394,80 @@ _MEMOS = {
 
 
 def _fold(
-    modes: tuple[bool, ...], up: list[list[int]], top: list[int]
+    modes: tuple[bool, ...], chords: tuple[tuple[int, int], ...], top: list[int]
 ) -> tuple[_Classes, int, int, list[bytes]]:
-    """Fold the polygon whose fans are ``up`` (``g.higher_neighbours()``)
-    over the memo of ``modes``, starting from ``top[lo]``, the leaf class of
-    each outer-cycle edge (lo, lo + 1): (the memo, the root's class, the
-    packed offsets, the back-pointers of each join in fold order, if the
-    memo keeps them).  ``top`` ends up holding each vertex's top side."""
+    """Fold the polygon with these sorted ``chords`` over the memo of
+    ``modes``, starting from ``top[lo]``, the leaf class of each outer-cycle
+    edge (lo, lo + 1): (the memo, the root's class, the packed offsets, the
+    back-pointers of each join in fold order, if the memo keeps them).
+    ``top`` ends up holding each vertex's top side.  The fans are read off
+    ``chords`` in place, so the fold allocates nothing per fan."""
     classes = _MEMOS[modes]
     if len(classes.joins) > _MEMO_CAP:
         classes = _MEMOS[modes] = _Classes(classes.rules)
     joins = classes.joins
-    # The fan of lo is up[lo] = [lo + 1, ..., hi], and its last edge (lo, hi)
-    # is lo's top side, whose class is top[lo].  The edge (lo, up[lo][j]),
-    # j >= 1, closes the sides (lo, c) and (c, hi) at the apex c = up[lo][j - 1],
-    # and (c, hi) is c's top side.  So each fan, highest lo first, folds its
-    # apexes, all but its last vertex, into the leaf (lo, lo + 1).  up[0] ends
-    # at n - 1, so top[0] is the root.
+    # The chords are sorted, so the chords (lo, b) of one lo form a run,
+    # chords[i:j], and the fan of lo is lo + 1, then the run's far ends b in
+    # ascending order, then n - 1 when lo = 0.  The fan's last edge (lo, hi)
+    # is lo's top side, whose class is top[lo].  The edge (lo, b) to a fan
+    # vertex b after lo + 1 closes the sides (lo, c) and (c, b) at the apex
+    # c, the fan vertex just before b, and (c, b) is c's top side.  So
+    # each fan, highest lo first, folds its apexes, all but its last vertex,
+    # into the leaf (lo, lo + 1): lo + 1, then the ends of chords[i:end],
+    # where end = j - 1, or j for lo = 0, whose fan ends at n - 1, so top[0]
+    # is the root.  A fan with no apex leaves its leaf as it is.
     back = []
     offset = 0
-    for lo in range(len(top) - 3, -1, -1):  # up[n - 2] is [n - 1]: no apex
-        a = top[lo]
-        for c in up[lo][:-1]:
-            try:
-                a, o, bp = joins[a << 32 | top[c]]
-            except KeyError:
-                a, o, bp = classes.join(a, top[c])
-            offset += o
-            if bp is not None:  # None in a memo of several modes
-                back.append(bp)
-        top[lo] = a
+    lo = len(top) - 3  # the fan of n - 2 is n - 1 alone: no apex
+    j = len(chords)
+    while lo >= 0:
+        i = j
+        while i and chords[i - 1][0] == lo:
+            i -= 1
+        end = j if lo == 0 else j - 1
+        if i <= end:
+            a = top[lo]
+            c = lo + 1
+            x = i
+            while True:
+                try:
+                    a, o, bp = joins[a << 32 | top[c]]
+                except KeyError:
+                    a, o, bp = classes.join(a, top[c])
+                offset += o
+                if bp is not None:  # None in a memo of several modes
+                    back.append(bp)
+                if x == end:
+                    break
+                c = chords[x][1]
+                x += 1
+            top[lo] = a
+        j = i
+        lo -= 1
     return classes, top[0], offset, back
 
 
 def _solve_exact(g: MopGraph, *, standard: bool, forbid_deg2: bool) -> tuple[int, tuple[int, ...]]:
     """(size, lex-min witness) by the dynamic program above, with no size
-    limit.  Reads the fans of ``g`` and, when they are forbidden, its
-    degree-2 vertices; it fills no adjacency cache on ``g``."""
+    limit.  Reads the fans of ``g`` off its sorted chords and, when they are
+    forbidden, its degree-2 vertices; it fills no adjacency cache on ``g``."""
     n = g.n
     top = [3] * n  # the leaf class 2 * lo_allowed + hi_allowed of each (lo, lo + 1)
     if forbid_deg2:
         for v in g.degree2_vertices():
             top[v] &= 1
             top[v - 1] &= 2  # for v = 0, top[n - 1], which no fold reads
-    up = g.higher_neighbours()
-    classes, root, offset, back = _fold((standard,), up, top)
+    chords = g.chords
+    classes, root, offset, back = _fold((standard,), chords, top)
     (best,) = classes.root(root)
     if best is None:
         raise Infeasible(f"n={n}: no double dominating set avoids the degree-2 vertices")
     key = best[1]
 
-    # Top-down, lowest lo first: a key fixes the keys of both sides it closes.
+    # Top-down, lowest lo first, each fan's apexes from the last, so the
+    # back-pointers come off ``back`` from its end: a key fixes the keys of
+    # both sides it closes.  The fan of lo is read off its chord run,
+    # chords[start:x], as in _fold.
     states, join = classes.rules[0].states, classes.rules[0].join
     a, b = divmod(key, states)
     chosen = [0] if a >= _IN else []
@@ -453,14 +476,22 @@ def _solve_exact(g: MopGraph, *, standard: bool, forbid_deg2: bool) -> tuple[int
     keys = [0] * n  # the key chosen for each top side
     keys[0] = key
     i = len(back)
-    for lo in range(n - 1):
+    m = len(chords)
+    x = 0
+    for lo in range(n - 2):
+        start = x
+        while x < m and chords[x][0] == lo:
+            x += 1
+        y = x if lo == 0 else x - 1  # the apexes: lo + 1, then the ends of chords[start:y]
         k = keys[lo]
-        for c in up[lo][-2::-1]:
+        while y >= start:
+            y -= 1
+            c = chords[y][1] if y >= start else lo + 1
             i -= 1
             bp = back[i]
-            m = len(bp) // 3
-            p = bp.index(k, 0, m)
-            lk, rk = bp[m + p], bp[2 * m + p]
+            p = len(bp) // 3
+            q = bp.index(k, 0, p)
+            lk, rk = bp[p + q], bp[2 * p + q]
             if join[lk][rk][1]:
                 chosen.append(c)
             keys[c] = rk
@@ -500,13 +531,13 @@ CSV_COLUMNS = (
 _VALUE_COLUMNS = CSV_COLUMNS[:10]
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bounds for one graph, with its exact minima unless they were skipped.
 
     Only n, t, k and the two exact values are stored; the bounds, the flags
     (exact_literal against each bound) and exact_2dom, which is the literal
-    minimum, follow from them."""
+    minimum, follow from them.  A report is an immutable tuple of those five
+    fields, so it also unpacks, indexes and compares equal to a plain tuple."""
 
     n: int
     t: int
@@ -570,13 +601,13 @@ def bound_report(g: MopGraph, with_exact: bool = True) -> BoundReport:
         k += v - prev >= 3
         prev = v
     if not with_exact:
-        return BoundReport(n=n, t=len(deg2), k=k, exact_literal=None, exact_standard=None)
+        return BoundReport(n, len(deg2), k, None, None)
     # Sizes only: one fold over the memo of both modes.
-    classes, root, offsets, _ = _fold((False, True), g.higher_neighbours(), [3] * n)
+    classes, root, offsets, _ = _fold((False, True), g.chords, [3] * n)
     (lit, _), (std, _) = classes.root(root)
     lit += offsets & (1 << _OFFSET_BITS) - 1
     std += offsets >> _OFFSET_BITS
-    return BoundReport(n=n, t=len(deg2), k=k, exact_literal=lit, exact_standard=std)
+    return BoundReport(n, len(deg2), k, lit, std)
 
 
 def csv_header() -> str:

@@ -71,7 +71,9 @@ class MopGraph:
     def higher_neighbours(self) -> list[list[int]]:
         """For each vertex but the last, its neighbours above it, ascending:
         the fan of the polygon's triangles at that vertex.  Built from
-        ``chords`` alone, so the adjacency cache stays empty."""
+        ``chords`` alone, so the adjacency cache stays empty.  The engine's
+        set-up (``dual_tree.fan_dual``) reads these lists; the exact solver
+        reads the same fans off the sorted chords without building them."""
         n = self.n
         up = [[v + 1] for v in range(n - 1)]
         for a, b in self.chords:  # sorted, so each list stays ascending

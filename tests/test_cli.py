@@ -294,6 +294,15 @@ def test_report_csv_no_exact(capsys, monkeypatch):
     assert row.endswith(",,,,,,,")
 
 
+@pytest.mark.parametrize("flags", [(), ("--no-exact",)])
+def test_report_prints_no_header_for_a_graph_it_cannot_report(capsys, monkeypatch, flags):
+    feed(monkeypatch, '{"n": 3, "chords": []}')
+    assert run(["report", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_report_json(capsys, monkeypatch):
     feed(monkeypatch, to_json(snake(6)))
     assert run(["report", "--format", "json"]) == 0

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from mopdom import (
     CSV_COLUMNS,
+    BoundReport,
     DominationMode,
     Infeasible,
+    MopGraph,
     TooSmall,
     bad_vertices,
     bound_report,
@@ -32,6 +34,7 @@ from mopdom import (
 )
 from mopdom import domination
 
+import fold_reference
 from naive_oracle import is_double_dom, min_double_dom
 from test_golden import EXACT_RANDOM_CASES
 
@@ -292,6 +295,44 @@ def test_csv_round():
     )
 
 
+REPORT_TEXT = {
+    (6, True): (
+        "BoundReport(n=6, t=2, k=2, exact_literal=3, exact_standard=4)",
+        "6,2,2,4,4,4,3,3,4,3,1,1,1,1",
+    ),
+    (7, True): (
+        "BoundReport(n=7, t=2, k=2, exact_literal=3, exact_standard=4)",
+        "7,2,2,4.66667,4.5,4.5,3,3,4,3,1,1,1,1",
+    ),
+    (7, False): (
+        "BoundReport(n=7, t=2, k=2, exact_literal=None, exact_standard=None)",
+        "7,2,2,4.66667,4.5,4.5,3,,,,,,,",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, with_exact", list(REPORT_TEXT))
+def test_bound_report_is_a_light_immutable_record(n, with_exact):
+    r = bound_report(snake(n), with_exact=with_exact)
+    text, row = REPORT_TEXT[n, with_exact]
+    assert repr(r) == text and to_csv_row(r) == row
+    lit, std = (3, 4) if with_exact else (None, None)
+    assert r == BoundReport(n=n, t=2, k=2, exact_literal=lit, exact_standard=std)
+    assert r == (n, 2, 2, lit, std) and tuple(r) == (n, 2, 2, lit, std)
+    half = (n + 2) / 2
+    bounds = {"bound_zhuang_23": 2 * n / 3, "bound_zhuang_nt": half, "bound_main": half}
+    values = {"n": n, "t": 2, "k": 2, **bounds, "lower_bound": 3}
+    values.update(exact_literal=lit, exact_standard=std, exact_2dom=lit)
+    flags = dict.fromkeys(("ok_zhuang_23", "ok_zhuang_nt", "ok_main", "ok_lower"), True)
+    assert r.flags == (flags if with_exact else None)
+    assert r.to_obj() == ({**values, **flags} if with_exact else values)
+    assert list(r.to_obj()) == list(CSV_COLUMNS[: len(r.to_obj())])
+    with pytest.raises(AttributeError):
+        r.n = 5
+    with pytest.raises(AttributeError):
+        r.extra = 1
+
+
 def test_all_bounds_hold_on_a_slice():
     for g in enumerate_all(9, dedup=True):
         r = bound_report(g)
@@ -431,6 +472,51 @@ def test_threads_share_the_memo(fresh_memo, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [want] * 4
+
+
+def leaf_classes(g, forbid_deg2):
+    """The leaf class of each outer-cycle edge (lo, lo + 1), as the witness
+    solve sets them up."""
+    top = [3] * g.n
+    if forbid_deg2:
+        for v in g.degree2_vertices():
+            top[v] &= 1
+            top[v - 1] &= 2
+    return top
+
+
+def test_chord_run_fold_joins_as_the_fan_fold_did(monkeypatch):
+    fans = MopGraph.higher_neighbours
+
+    def no_fans(self):
+        raise AssertionError("the exact solver reads its fans off the chords")
+
+    monkeypatch.setattr(MopGraph, "higher_neighbours", no_fans)
+    graphs = [g for n in range(4, 12) for g in enumerate_all(n)]
+    graphs += [random_mop(n, seed) for n, seed in EXACT_RANDOM_CASES]
+    graphs += [random_mop(n, 9000 + n) for n in range(23, 1001, 41)] + [random_mop(1000, 1)]
+    graphs += [fan(333), snake(2000)]
+    # Separate fresh memos for the two folds: equal class ids after the same
+    # graphs in the same order mean that both joined the same pairs in the
+    # same order.
+    new = {modes: domination._Classes(c.rules) for modes, c in domination._MEMOS.items()}
+    old = {modes: domination._Classes(c.rules) for modes, c in new.items()}
+    monkeypatch.setattr(domination, "_MEMOS", new)
+    for g in graphs:
+        up = fans(g)
+        for modes in new:
+            for forbid in (False, True):
+                top, ref_top = leaf_classes(g, forbid), leaf_classes(g, forbid)
+                _, root, offsets, back = domination._fold(modes, g.chords, top)
+                _, ref_root, ref_offsets, ref_back = fold_reference.fold(old, modes, up, ref_top)
+                assert (root, offsets, back) == (ref_root, ref_offsets, ref_back), (g, modes, forbid)
+                assert top[: g.n - 1] == ref_top[: g.n - 1]
+    assert all(len(c.tables) > 4 for c in new.values())
+    assert [len(c.tables) for c in new.values()] == [len(c.tables) for c in old.values()]
+    for g in graphs[-6:] + graphs[:200]:
+        bound_report(g)
+        for mode, forbid in VARIANTS:
+            exact_min_double_dom(g, mode, forbid)
 
 
 # --- the exact solver's dominance pruning ---------------------------------------------

@@ -360,6 +360,28 @@ def test_pack_rejects_a_rule_with_two_orders_of_label_roles():
         c._pack(n, [level, flipped], [3, 2, 1], "base_case", level.k)
 
 
+def test_pack_reads_eq_and_le_declarations_apart():
+    # No pinned graph has an `eq` rule ending below its declared k, so only
+    # synthetic levels tell `k after == want` from `k after <= want`.
+    n, seed = RANDOM_CASES[0]
+    level = engine_levels(random_mop(n, seed))[0]
+    want = level.k + 1
+    for kind, k_after, ok in (
+        ("eq", want - 1, False),
+        ("eq", want, True),
+        ("eq", want + 1, False),
+        ("le", want - 1, True),
+        ("le", want, True),
+        ("le", want + 1, False),
+    ):
+        declared = replace(level, printed=(kind, want))
+        trace = c._pack(n, [declared], [3, 2], "base_case", k_after)
+        assert trace.to_obj()[0]["printed_ok"] is ok, (kind, k_after)
+        assert trace.soft_failures()["printed_k"] == (not ok)
+    undeclared = c._pack(n, [replace(level, printed=(None, 0))], [3, 2], "base_case", level.k)
+    assert undeclared.to_obj()[0]["printed_ok"] is None
+
+
 def test_engine_walks_through_the_traced_binding(monkeypatch):
     # The benchmark counts leaf walks by patching this module attribute, so
     # the engine must reach the classifier through it, once per walk.
